@@ -1,0 +1,37 @@
+"""Argument checks and scalar-or-array result shaping shared by the modules."""
+
+import math
+
+import numpy as np
+
+
+def finite(value, name):
+    """value as a float; ValueError for NaN or infinity.
+
+    Pure Python on purpose: classify() runs it for every raster cell.
+    """
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+def positive(value, name, allow_zero=False):
+    """value as a float64 array; ValueError unless finite and > 0 (>= 0 with allow_zero)."""
+    arr = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite (got NaN or infinity)")
+    if allow_zero:
+        if (arr < 0.0).any():
+            raise ValueError(f"{name} must be >= 0")
+    elif (arr <= 0.0).any():
+        raise ValueError(f"{name} must be > 0")
+    return arr
+
+
+def like(out, *args):
+    """out as a float when every argument is a scalar, else in their broadcast shape."""
+    shape = np.broadcast(*args).shape
+    if shape == ():
+        return float(np.ravel(out)[0])
+    return out.reshape(shape)

@@ -137,13 +137,9 @@ def _cmd_counterexample(args):
 def _cmd_raster(args):
     p_min, p_max, q_min, q_max = args.window
     raster = build_raster(p_min, p_max, q_min, q_max, args.step)
-    try:
-        write_csv(raster, args.out)
-        if args.svg_path:
-            write_svg(raster, args.svg_path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    write_csv(raster, args.out)
+    if args.svg_path:
+        write_svg(raster, args.svg_path)
     return 0
 
 
@@ -225,7 +221,7 @@ def run(argv):
     except SearchExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

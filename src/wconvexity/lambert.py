@@ -14,6 +14,8 @@ return matching shapes.
 
 import numpy as np
 
+from ._checks import like, positive
+
 __all__ = ["RESIDUAL_TOL", "residual_bound", "w0", "w0_prime"]
 
 # Residual envelope: a few ulps at double precision, scaled by max(z, 1).
@@ -24,23 +26,14 @@ _LN2 = float(np.log(2.0))
 # Value of the large-z guess log z - log log z + log log z / log z at z = e**2.
 _GUESS_AT_E_SQ = 2.0 - _LN2 + 0.5 * _LN2
 _MAX_ITER = 30
+# Near the root the Halley denominator e**w * (w + 1) is about z * (1 + 1/w),
+# which overflows only for z above ~1.795e308; below this bound it cannot.
+_OVERFLOW_FREE = 1e308
 
 
 def residual_bound(z):
     """Absolute tolerance on w * e**w - z that the kernel guarantees at z."""
     return RESIDUAL_TOL * np.maximum(z, 1.0)
-
-
-def _checked(z, name, positive=False):
-    arr = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite (got NaN or infinity)")
-    if positive:
-        if np.any(arr <= 0.0):
-            raise ValueError(f"{name} must be > 0")
-    elif np.any(arr < 0.0):
-        raise ValueError(f"{name} must be >= 0")
-    return arr
 
 
 def _initial_guess(z):
@@ -62,11 +55,19 @@ def _initial_guess(z):
 def _halley(z, w):
     # Halley iteration for f(w) = w*e**w - z; cubic convergence from the
     # guesses above.  Stops once every step is below ~1 ulp of w.
+    near_max = z.max(initial=0.0) > _OVERFLOW_FREE
     for _ in range(_MAX_ITER):
         ew = np.exp(w)
         f = w * ew - z
         wp1 = w + 1.0
-        step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+        step = f / denom
+        if near_max:
+            # Where e**w * (w + 1) overflows, take the same step divided
+            # through by e**w.  Only there: elsewhere it rounds differently.
+            fs = w - z * np.exp(-w)
+            scaled = fs / (wp1 - (w + 2.0) * fs / (2.0 * wp1))
+            step = np.where(np.isfinite(denom), step, scaled)
         w = w - step
         if np.all(np.abs(step) <= 2.3e-16 * np.abs(w) + 5e-324):
             break
@@ -92,12 +93,12 @@ def w0(z):
     map is strictly increasing.  Raises ValueError for negative, NaN or
     infinite input.
     """
-    arr = _checked(z, "z")
-    flat = np.atleast_1d(arr).ravel().astype(np.float64)
-    w = _polish(flat, _halley(flat, _initial_guess(flat)))
-    if np.ndim(z) == 0:
-        return float(w[0])
-    return w.reshape(arr.shape)
+    flat = np.atleast_1d(positive(z, "z", allow_zero=True)).ravel()
+    # Near the double maximum w * e**w overflows to inf in the Halley step
+    # and the polish; both handle that, so the warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _polish(flat, _halley(flat, _initial_guess(flat)))
+    return like(w, z)
 
 
 def w0_prime(z):
@@ -105,9 +106,6 @@ def w0_prime(z):
 
     Positive and strictly decreasing on (0, inf).
     """
-    arr = _checked(z, "z", positive=True)
+    arr = positive(z, "z")
     w = w0(arr)
-    out = w / (arr * (w + 1.0))
-    if np.ndim(z) == 0:
-        return float(out)
-    return out
+    return like(w / (arr * (w + 1.0)), z)

@@ -8,6 +8,8 @@ so the mean stays finite and accurate over the whole double range.
 
 import numpy as np
 
+from ._checks import finite, like, positive
+
 __all__ = ["holder_mean", "quartic_harmonic_form"]
 
 # Below this |p| the direct formula amplifies base rounding by 1/p past
@@ -18,15 +20,6 @@ _SMALL_P = 1e-5
 _EXPONENT_GUARD = 700.0
 _LN2 = float(np.log(2.0))
 _TINY = float(np.finfo(np.float64).tiny)
-
-
-def _checked_positive(v, name):
-    arr = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite (got NaN or infinity)")
-    if np.any(arr <= 0.0):
-        raise ValueError(f"{name} must be > 0")
-    return arr
 
 
 def _geometric(rr, ss):
@@ -45,11 +38,8 @@ def holder_mean(p, r, s):
     result is clamped into [min(r, s), max(r, s)].  p must be finite;
     r and s must be positive and finite (scalars or arrays).
     """
-    p = float(p)
-    if not np.isfinite(p):
-        raise ValueError("order p must be finite")
-    scalar = np.ndim(r) == 0 and np.ndim(s) == 0
-    rr, ss = np.broadcast_arrays(_checked_positive(r, "r"), _checked_positive(s, "s"))
+    p = finite(p, "order p")
+    rr, ss = np.broadcast_arrays(positive(r, "r"), positive(s, "s"))
     rr = np.atleast_1d(rr).astype(np.float64)
     ss = np.atleast_1d(ss).astype(np.float64)
 
@@ -70,10 +60,7 @@ def holder_mean(p, r, s):
     lo = np.minimum(rr, ss)
     hi = np.maximum(rr, ss)
     out = np.minimum(np.maximum(out, lo), hi)
-    out = np.where(rr == ss, rr, out)
-    if scalar:
-        return float(out[0])
-    return out.reshape(np.broadcast_shapes(np.shape(r), np.shape(s)))
+    return like(np.where(rr == ss, rr, out), r, s)
 
 
 def quartic_harmonic_form(x, y):
@@ -83,14 +70,8 @@ def quartic_harmonic_form(x, y):
     of the fourth roots, raised back to the fourth power); it is kept as a
     separate closed form so the two routes can cross-check each other.
     """
-    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-    xx = np.atleast_1d(_checked_positive(x, "x")).astype(np.float64)
-    yy = np.atleast_1d(_checked_positive(y, "y")).astype(np.float64)
-    a = np.sqrt(np.sqrt(xx))
-    b = np.sqrt(np.sqrt(yy))
+    a = np.sqrt(np.sqrt(positive(x, "x")))
+    b = np.sqrt(np.sqrt(positive(y, "y")))
     g = 2.0 * a * b / (a + b)
     gg = g * g
-    out = gg * gg
-    if scalar:
-        return float(out[0])
-    return out.reshape(np.broadcast_shapes(np.shape(x), np.shape(y)))
+    return like(gg * gg, x, y)

@@ -9,6 +9,7 @@ drawn over -1 < p < 0.
 import math
 from dataclasses import dataclass
 
+from ._checks import finite
 from .theory import ConvexityClass, c_of_p, classify
 
 __all__ = [
@@ -62,11 +63,9 @@ def _axis(lo, hi, step):
 
 def build_raster(p_min, p_max, q_min, q_max, step):
     """Classify the closed lattice (inclusive of both endpoints)."""
-    p_min, p_max = float(p_min), float(p_max)
-    q_min, q_max = float(q_min), float(q_max)
-    step = float(step)
-    if not all(map(math.isfinite, (p_min, p_max, q_min, q_max, step))):
-        raise ValueError("raster window and step must be finite")
+    p_min, p_max, q_min, q_max, step = (
+        finite(v, "raster window and step") for v in (p_min, p_max, q_min, q_max, step)
+    )
     if p_min > p_max or q_min > q_max:
         raise ValueError("raster window must satisfy p_min <= p_max and q_min <= q_max")
     if step <= 0.0:

@@ -21,6 +21,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._checks import finite, like, positive
 from .lambert import w0
 
 __all__ = [
@@ -59,28 +60,6 @@ class HpqParams:
             raise ValueError("p and q must be finite")
 
 
-def _check_order(p):
-    p = float(p)
-    if not math.isfinite(p):
-        raise ValueError("p must be finite")
-    return p
-
-
-def _positive_array(r):
-    arr = np.asarray(r, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("r must be finite")
-    if np.any(arr <= 0.0):
-        raise ValueError("r must be > 0")
-    return arr
-
-
-def _shape_result(out, template):
-    if np.ndim(template) == 0:
-        return float(np.atleast_1d(out)[0])
-    return out
-
-
 def h_p(p, r):
     """p * (W(r) + 1) + W(r) / (W(r) + 1) for r > 0.
 
@@ -88,11 +67,10 @@ def h_p(p, r):
     decreasing for p <= -1, and for -1 < p < 0 rises to the interior
     maximum c_of_p(p) before falling to -inf.
     """
-    p = _check_order(p)
-    arr = _positive_array(r)
-    w = w0(arr)
-    wp1 = np.asarray(w) + 1.0
-    return _shape_result(p * wp1 + np.asarray(w) / wp1, r)
+    p = finite(p, "p")
+    w = np.asarray(w0(positive(r, "r")))
+    wp1 = w + 1.0
+    return like(p * wp1 + w / wp1, r)
 
 
 def f1(r):
@@ -100,13 +78,12 @@ def f1(r):
 
     Strictly increasing from -1 toward 0; h_p'(r) = w0_prime(r) * (p - f1(r)).
     """
-    arr = _positive_array(r)
-    wp1 = np.asarray(w0(arr)) + 1.0
-    return _shape_result(-1.0 / (wp1 * wp1), r)
+    wp1 = np.asarray(w0(positive(r, "r"))) + 1.0
+    return like(-1.0 / (wp1 * wp1), r)
 
 
-def _ln_g(p, q, r):
-    w = np.asarray(w0(r))
+def _ln_g(p, q, r, w):
+    # Takes w = W(r) so a caller that also needs W evaluates it once.
     return q * np.log(w) - p * np.log(r) - np.log1p(w)
 
 
@@ -117,22 +94,21 @@ def g_pq(p, q, r):
     (q - h_p(r)) / (r * (W(r) + 1)).  Values outside the normal double
     range raise OverflowError instead of returning inf or 0.
     """
-    p = _check_order(p)
-    q = _check_order(q)
-    arr = _positive_array(r)
-    ln_val = _ln_g(p, q, arr)
+    p = finite(p, "p")
+    q = finite(q, "q")
+    arr = positive(r, "r")
+    w = np.asarray(w0(arr))
+    ln_val = _ln_g(p, q, arr, w)
     if np.any(ln_val > _LN_MAX):
         raise OverflowError("g_pq overflows the double range")
     if np.any(ln_val < _LN_TINY):
         raise OverflowError("g_pq underflows the double range")
-    w = np.asarray(w0(arr))
     a = q * np.log(w)
     b = p * np.log(arr)
     with np.errstate(over="ignore", under="ignore"):
         direct = w**q / (arr**p * (w + 1.0))
     safe = (np.abs(a) < 700.0) & (np.abs(b) < 700.0) & np.isfinite(direct)
-    out = np.where(safe, direct, np.exp(ln_val))
-    return _shape_result(out, r)
+    return like(np.where(safe, direct, np.exp(ln_val)), r)
 
 
 def c_of_p(p):
@@ -168,8 +144,8 @@ def classify(p, q):
     neither direction holds on all of (0, inf).  Region boundaries are
     inclusive on the convex/concave side.
     """
-    p = _check_order(p)
-    q = _check_order(q)
+    p = finite(p, "p")
+    q = finite(q, "q")
     if p <= -1.0:
         return ConvexityClass.STRICTLY_CONVEX if q >= p else ConvexityClass.NEITHER
     if p <= 0.0:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .lambert import w0
 from .means import holder_mean, quartic_harmonic_form
-from .theory import ConvexityClass, HpqParams, c_of_p, classify, h_p
+from .theory import ConvexityClass, HpqParams, _ln_g, c_of_p, classify, h_p
 
 __all__ = [
     "CASE_FIXTURES",
@@ -157,6 +157,8 @@ def sample_pairs(seed, start, count):
     (seed, sample index), never on how the index space is chunked.
     """
     seed = _check_seed(seed)
+    if start < 0 or count < 0:
+        raise ValueError("start and count must be >= 0")
     idx = np.arange(start, start + count, dtype=np.uint64)
     lo, hi = SAMPLE_DOMAIN
     ln_lo, ln_hi = math.log(lo), math.log(hi)
@@ -196,20 +198,18 @@ def _gap_arrays(p, q, x, y):
     return lhs, rhs, lhs - rhs
 
 
+def _record(p, q, columns, i):
+    # columns = (x, y, lhs, rhs, gap) arrays; row i as a ComparisonRecord.
+    x, y, lhs, rhs, gap = (float(column[i]) for column in columns)
+    return ComparisonRecord(x=x, y=y, p=p, q=q, lhs=lhs, rhs=rhs, gap=gap)
+
+
 def compare_at(p, q, x, y):
     """Evaluate the two sides at one point; gap = lhs - rhs as stored."""
+    p, q = float(p), float(q)
     xx = np.atleast_1d(np.asarray(x, dtype=np.float64))
     yy = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    lhs, rhs, gap = _gap_arrays(float(p), float(q), xx, yy)
-    return ComparisonRecord(
-        x=float(xx[0]),
-        y=float(yy[0]),
-        p=float(p),
-        q=float(q),
-        lhs=float(lhs[0]),
-        rhs=float(rhs[0]),
-        gap=float(gap[0]),
-    )
+    return _record(p, q, (xx, yy, *_gap_arrays(p, q, xx, yy)), 0)
 
 
 # --------------------------------------------------------------------------
@@ -247,50 +247,96 @@ class VerificationReport:
         return json.dumps(doc)
 
 
-def _scan_part(p, q, seed, start, count):
-    """Scan samples [start, start+count): counts, extremes, worst rows.
+@dataclass(frozen=True)
+class _Part:
+    """Scan result over a range of sample indices; _merge_parts combines two.
 
-    Parts are plain dicts that _merge_parts combines associatively.
+    worst, top and bottom hold (|gap|, index, record) entries ranked by
+    _ranked: the _WORST_KEPT largest |gap| overall, and the largest
+    significant positive and negative gap (empty when there is none).
     """
+
+    count: int
+    positive: int
+    negative: int
+    max_abs_gap: float
+    worst: tuple
+    top: tuple
+    bottom: tuple
+
+
+def _top_k(a, k):
+    # Indices of the k largest entries of a, largest first and lower index
+    # first among equals: argsort(-a, kind="stable")[:k] without the full sort.
+    idx = np.arange(a.size)
+    if a.size > k:
+        kth = np.partition(a, a.size - k)[a.size - k]
+        idx = np.flatnonzero(a >= kth)
+    return idx[np.argsort(-a[idx], kind="stable")[:k]]
+
+
+def _ranked(entries, k):
+    # The first k entries by largest |gap|, lower sample index among equals.
+    return tuple(sorted(entries, key=lambda entry: (-entry[0], entry[1]))[:k])
+
+
+def _scan_part(p, q, seed, start, count):
+    """Scan samples [start, start+count) into a _Part."""
     x, y = sample_pairs(seed, start, count)
     lhs, rhs, gap = _gap_arrays(p, q, x, y)
+    columns = (x, y, lhs, rhs, gap)
     tol = significance_threshold(lhs, rhs)
     abs_gap = np.abs(gap)
-    order = np.argsort(-abs_gap, kind="stable")[:_WORST_KEPT]
-    worst = [
-        (
-            float(abs_gap[i]),
-            int(start + i),
-            ComparisonRecord(
-                x=float(x[i]),
-                y=float(y[i]),
-                p=p,
-                q=q,
-                lhs=float(lhs[i]),
-                rhs=float(rhs[i]),
-                gap=float(gap[i]),
-            ),
-        )
-        for i in order
-    ]
-    return {
-        "count": int(count),
-        "positive": int(np.sum(gap > tol)),
-        "negative": int(np.sum(gap < -tol)),
-        "max_abs_gap": float(abs_gap.max(initial=0.0)),
-        "worst": worst,
-    }
+    positive = gap > tol
+    negative = gap < -tol
+
+    def entry(i):
+        return float(abs_gap[i]), int(start + i), _record(p, q, columns, i)
+
+    def extreme(mask):
+        i = np.argmax(np.where(mask, abs_gap, -1.0))
+        return (entry(i),) if mask[i] else ()
+
+    return _Part(
+        count=int(count),
+        positive=int(np.sum(positive)),
+        negative=int(np.sum(negative)),
+        max_abs_gap=float(abs_gap.max(initial=0.0)),
+        worst=tuple(entry(i) for i in _top_k(abs_gap, _WORST_KEPT)),
+        top=extreme(positive),
+        bottom=extreme(negative),
+    )
 
 
 def _merge_parts(a, b):
-    worst = sorted(a["worst"] + b["worst"], key=lambda item: (-item[0], item[1]))
-    return {
-        "count": a["count"] + b["count"],
-        "positive": a["positive"] + b["positive"],
-        "negative": a["negative"] + b["negative"],
-        "max_abs_gap": max(a["max_abs_gap"], b["max_abs_gap"]),
-        "worst": worst[:_WORST_KEPT],
-    }
+    return _Part(
+        count=a.count + b.count,
+        positive=a.positive + b.positive,
+        negative=a.negative + b.negative,
+        max_abs_gap=max(a.max_abs_gap, b.max_abs_gap),
+        worst=_ranked(a.worst + b.worst, _WORST_KEPT),
+        top=_ranked(a.top + b.top, 1),
+        bottom=_ranked(a.bottom + b.bottom, 1),
+    )
+
+
+def _scan_args(params, n, seed, name):
+    # Shared argument checks of verify_region and find_counterexamples.
+    if not isinstance(params, HpqParams):
+        params = HpqParams(*params)
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return params, n, _check_seed(seed)
+
+
+def _scan(params, n, seed):
+    # Samples [0, n) in chunks of _CHUNK, merged into one _Part.
+    part = None
+    for start in range(0, n, _CHUNK):
+        piece = _scan_part(params.p, params.q, seed, start, min(_CHUNK, n - start))
+        part = piece if part is None else _merge_parts(part, piece)
+    return part
 
 
 def _verdict(expected, n_positive, n_negative):
@@ -310,28 +356,20 @@ def verify_region(params, n_samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, expected
     threshold and grades the pattern against `expected` (classify(p, q)
     unless overridden).  Deterministic for a fixed seed.
     """
-    if not isinstance(params, HpqParams):
-        params = HpqParams(*params)
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    seed = _check_seed(seed)
+    params, n_samples, seed = _scan_args(params, n_samples, seed, "n_samples")
     if expected is None:
         expected = classify(params.p, params.q)
-    part = None
-    for start in range(0, n_samples, _CHUNK):
-        piece = _scan_part(params.p, params.q, seed, start, min(_CHUNK, n_samples - start))
-        part = piece if part is None else _merge_parts(part, piece)
+    part = _scan(params, n_samples, seed)
     return VerificationReport(
         params=params,
         expected=expected,
-        n_samples=part["count"],
-        n_gap_positive=part["positive"],
-        n_gap_negative=part["negative"],
-        max_abs_gap=part["max_abs_gap"],
-        worst_records=tuple(rec for _, _, rec in part["worst"]),
+        n_samples=part.count,
+        n_gap_positive=part.positive,
+        n_gap_negative=part.negative,
+        max_abs_gap=part.max_abs_gap,
+        worst_records=tuple(rec for _, _, rec in part.worst),
         seed=seed,
-        verdict=_verdict(expected, part["positive"], part["negative"]),
+        verdict=_verdict(expected, part.positive, part.negative),
     )
 
 
@@ -367,35 +405,40 @@ def _golden_max(fun, a, b, iters=20):
     return c if fc >= fd else d
 
 
-def _refine(p, q, x, y, sign):
-    """Coordinate-wise golden-section polish of sign * gap around (x, y)."""
+def _refine(p, q, extreme, sign):
+    """Coordinate-wise golden-section polish of sign * gap around a scan extreme.
+
+    Falls back to the extreme itself, re-evaluated by compare_at, when the
+    polish ends below the |gap| the scan saw there.
+    """
     lo, hi = SAMPLE_DOMAIN
     ln_lo, ln_hi = math.log(lo), math.log(hi)
     half_span = 0.5 * math.log(10.0)
+    scan_abs_gap, _, origin = extreme
 
     def signed_gap(lx, ly):
         return sign * compare_at(p, q, math.exp(lx), math.exp(ly)).gap
 
-    lx, ly = math.log(x), math.log(y)
-    best = signed_gap(lx, ly)
+    point = [math.log(origin.x), math.log(origin.y)]
+    best = signed_gap(*point)
     for coord in (0, 1):
-        if coord == 0:
-            fun = lambda t: signed_gap(t, ly)
-            center = lx
-        else:
-            fun = lambda t: signed_gap(lx, t)
-            center = ly
-        a = max(ln_lo, center - half_span)
-        b = min(ln_hi, center + half_span)
+
+        def fun(t):
+            moved = list(point)
+            moved[coord] = t
+            return signed_gap(*moved)
+
+        a = max(ln_lo, point[coord] - half_span)
+        b = min(ln_hi, point[coord] + half_span)
         t = _golden_max(fun, a, b)
         val = fun(t)
         if val > best:
             best = val
-            if coord == 0:
-                lx = t
-            else:
-                ly = t
-    return compare_at(p, q, math.exp(lx), math.exp(ly))
+            point[coord] = t
+    rec = compare_at(p, q, *map(math.exp, point))
+    if sign * rec.gap < scan_abs_gap:
+        rec = compare_at(p, q, origin.x, origin.y)
+    return rec
 
 
 def find_counterexamples(params, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
@@ -407,49 +450,24 @@ def find_counterexamples(params, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     (either the budget is too small or the implementation is wrong: the
     classification guarantees both exist).
     """
-    if not isinstance(params, HpqParams):
-        params = HpqParams(*params)
+    params, budget, seed = _scan_args(params, budget, seed, "budget")
     if classify(params.p, params.q) is not ConvexityClass.NEITHER:
         raise ValueError("find_counterexamples requires a 'neither' pair")
-    budget = int(budget)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    seed = _check_seed(seed)
-
-    best_pos = None  # (gap, index, x, y)
-    best_neg = None
-    for start in range(0, budget, _CHUNK):
-        count = min(_CHUNK, budget - start)
-        x, y = sample_pairs(seed, start, count)
-        lhs, rhs, gap = _gap_arrays(params.p, params.q, x, y)
-        tol = significance_threshold(lhs, rhs)
-        excess = np.where(gap > tol, gap, -np.inf)
-        i = int(np.argmax(excess))
-        if excess[i] > -np.inf and (best_pos is None or gap[i] > best_pos[0]):
-            best_pos = (float(gap[i]), start + i, float(x[i]), float(y[i]))
-        shortfall = np.where(gap < -tol, gap, np.inf)
-        j = int(np.argmin(shortfall))
-        if shortfall[j] < np.inf and (best_neg is None or gap[j] < best_neg[0]):
-            best_neg = (float(gap[j]), start + j, float(x[j]), float(y[j]))
-
+    part = _scan(params, budget, seed)
     missing = [
         name
-        for name, found in (("positive", best_pos), ("negative", best_neg))
-        if found is None
+        for name, found in (("positive", part.top), ("negative", part.bottom))
+        if not found
     ]
     if missing:
         raise SearchExhaustedError(
             f"no significant {' or '.join(missing)} gap found for "
             f"(p={params.p}, q={params.q}) within budget {budget}"
         )
-
-    pos_rec = _refine(params.p, params.q, best_pos[2], best_pos[3], +1.0)
-    if pos_rec.gap < best_pos[0]:
-        pos_rec = compare_at(params.p, params.q, best_pos[2], best_pos[3])
-    neg_rec = _refine(params.p, params.q, best_neg[2], best_neg[3], -1.0)
-    if neg_rec.gap > best_neg[0]:
-        neg_rec = compare_at(params.p, params.q, best_neg[2], best_neg[3])
-    return CounterexamplePair(violates_convexity=pos_rec, violates_concavity=neg_rec)
+    return CounterexamplePair(
+        violates_convexity=_refine(params.p, params.q, part.top[0], +1.0),
+        violates_concavity=_refine(params.p, params.q, part.bottom[0], -1.0),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -585,9 +603,7 @@ def check_g_lemma(p, q, grid_size=10_000):
     p = float(p)
     q = float(q)
     r = _lemma_grid(grid_size)
-    w = np.asarray(w0(r))
-    ln_g = q * np.log(w) - p * np.log(r) - np.log1p(w)
-    rises, falls = _count_steps(ln_g)
+    rises, falls = _count_steps(_ln_g(p, q, r, np.asarray(w0(r))))
     expected = _g_expected(p, q)
     if expected == "increasing":
         passed = rises > 0 and falls == 0

@@ -131,6 +131,13 @@ def test_raster_unwritable_path(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_json_unwritable_path(capsys, tmp_path):
+    report = tmp_path / "no" / "such" / "dir" / "r.json"
+    code, _, err = invoke(capsys, ["verify", "--samples", "100", "--json", str(report), "--", "1", "1"])
+    assert code == 2
+    assert "error:" in err
+
+
 def test_selftest_passes(capsys):
     code, out, _ = invoke(capsys, ["selftest", "--samples", "500", "--seed", "42"])
     assert code == 0

@@ -62,6 +62,27 @@ def test_round_trip():
     assert np.max(np.abs(back - w) / w) <= 1e-13
 
 
+def _ulps_apart(a, b):
+    # Distance in representable doubles between two non-negative floats.
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+def test_w0_matches_mpmath_over_the_double_range():
+    mpmath = pytest.importorskip("mpmath")
+    z = np.concatenate(
+        [
+            np.logspace(-300.0, 308.0, 2_001),
+            # e**w * (w + 1) overflows in the Halley step from z ~ 1.795e308.
+            np.linspace(1.79e308, np.finfo(np.float64).max, 201),
+        ]
+    )
+    w = w0(z)
+    with mpmath.workdps(40):
+        ref = [float(mpmath.lambertw(mpmath.mpf(float(v))).real) for v in z]
+    worst = max(_ulps_apart(a, b) for a, b in zip(w, ref))
+    assert worst <= 1
+
+
 def test_scalar_and_array_shapes():
     assert isinstance(w0(2.0), float)
     out = w0(np.array([[1.0, 2.0], [3.0, 4.0]]))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wconvexity import verify
 from wconvexity.theory import ConvexityClass, HpqParams, classify
 from wconvexity.verify import (
     CASE_FIXTURES,
@@ -19,6 +20,7 @@ from wconvexity.verify import (
     _gap_arrays,
     _merge_parts,
     _scan_part,
+    _top_k,
     check_chain,
     check_g_lemma,
     check_h_lemma,
@@ -65,6 +67,12 @@ def test_seed_validation():
     with pytest.raises(ValueError):
         sample_pairs(2**64, 0, 10)
     sample_pairs(2**64 - 1, 0, 10)  # max seed is valid
+
+
+@pytest.mark.parametrize("start,count", [(-1, 10), (0, -1)])
+def test_sample_pairs_rejects_negative_range(start, count):
+    with pytest.raises(ValueError):
+        sample_pairs(42, start, count)
 
 
 # ---------------------------------------------------------------- compare_at
@@ -160,6 +168,26 @@ def test_partitioned_scan_merges_to_single_pass():
     right = _merge_parts(parts[0], _merge_parts(parts[1], parts[2]))
     assert left == full
     assert right == full
+
+
+@pytest.mark.parametrize("chunk,n", [(1, 300), (7, 3_000), (4096, 10_000)])
+def test_chunk_size_does_not_change_results(monkeypatch, chunk, n):
+    expected = (
+        verify_region(HpqParams(0.0, 0.5), n, 9),
+        find_counterexamples(HpqParams(0.0, 0.5), n, 9),
+    )
+    monkeypatch.setattr(verify, "_CHUNK", chunk)
+    assert verify_region(HpqParams(0.0, 0.5), n, 9) == expected[0]
+    assert find_counterexamples(HpqParams(0.0, 0.5), n, 9) == expected[1]
+
+
+def test_top_k_matches_stable_argsort_including_ties():
+    # The 10th and 11th largest entries tie; the lower index must win.
+    a = np.array([5.0, 1.0, 9.0, 3.0, 3.0, 8.0, 7.0, 6.0, 4.0, 3.0, 3.0, 9.0, 0.5])
+    assert list(_top_k(a, 10)) == [2, 11, 5, 6, 7, 0, 8, 3, 4, 9]
+    _, _, gap = _gap_arrays(0.0, 0.5, *sample_pairs(3, 0, 20_000))
+    for values in (np.abs(gap), np.round(np.abs(gap), 14), np.zeros(5), np.ones(30)):
+        assert np.array_equal(_top_k(values, 10), np.argsort(-values, kind="stable")[:10])
 
 
 def test_verify_region_validates_arguments():
