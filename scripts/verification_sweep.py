@@ -4,21 +4,21 @@
 Usage:
     python3 scripts/verification_sweep.py [OUTDIR] [SAMPLES] [SEED]
 
-Defaults: OUTDIR=out/reports, SAMPLES=10000, SEED=42.  Exits 1 if any
-region verdict fails.
+Defaults: OUTDIR=out/reports, SAMPLES and SEED as for `wconvexity verify`.
+Exits 1 if any region verdict fails.
 """
 
 import pathlib
 import sys
 
 from wconvexity.theory import HpqParams
-from wconvexity.verify import GRID_AXIS, verify_region
+from wconvexity.verify import DEFAULT_SAMPLES, DEFAULT_SEED, GRID_AXIS, verify_region
 
 
 def main(argv):
     outdir = pathlib.Path(argv[1]) if len(argv) > 1 else pathlib.Path("out/reports")
-    samples = int(argv[2]) if len(argv) > 2 else 10_000
-    seed = int(argv[3]) if len(argv) > 3 else 42
+    samples = int(argv[2]) if len(argv) > 2 else DEFAULT_SAMPLES
+    seed = int(argv[3]) if len(argv) > 3 else DEFAULT_SEED
     outdir.mkdir(parents=True, exist_ok=True)
     failures = 0
     for p in GRID_AXIS:

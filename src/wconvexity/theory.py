@@ -83,8 +83,11 @@ def f1(r):
 
 
 def _ln_g(p, q, r, w):
-    # Takes w = W(r) so a caller that also needs W evaluates it once.
-    return q * np.log(w) - p * np.log(r) - np.log1p(w)
+    # (q * ln W(r), p * ln r, ln g_pq(r)); takes w = W(r) so a caller that
+    # also needs W evaluates it once.
+    a = q * np.log(w)
+    b = p * np.log(r)
+    return a, b, a - b - np.log1p(w)
 
 
 def g_pq(p, q, r):
@@ -98,13 +101,11 @@ def g_pq(p, q, r):
     q = finite(q, "q")
     arr = positive(r, "r")
     w = np.asarray(w0(arr))
-    ln_val = _ln_g(p, q, arr, w)
+    a, b, ln_val = _ln_g(p, q, arr, w)
     if np.any(ln_val > _LN_MAX):
         raise OverflowError("g_pq overflows the double range")
     if np.any(ln_val < _LN_TINY):
         raise OverflowError("g_pq underflows the double range")
-    a = q * np.log(w)
-    b = p * np.log(arr)
     with np.errstate(over="ignore", under="ignore"):
         direct = w**q / (arr**p * (w + 1.0))
     safe = (np.abs(a) < 700.0) & (np.abs(b) < 700.0) & np.isfinite(direct)

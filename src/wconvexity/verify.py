@@ -408,8 +408,8 @@ def _golden_max(fun, a, b, iters=20):
 def _refine(p, q, extreme, sign):
     """Coordinate-wise golden-section polish of sign * gap around a scan extreme.
 
-    Falls back to the extreme itself, re-evaluated by compare_at, when the
-    polish ends below the |gap| the scan saw there.
+    Falls back to the scan's own record of the extreme when the polish ends
+    below the |gap| the scan saw there.
     """
     lo, hi = SAMPLE_DOMAIN
     ln_lo, ln_hi = math.log(lo), math.log(hi)
@@ -436,9 +436,7 @@ def _refine(p, q, extreme, sign):
             best = val
             point[coord] = t
     rec = compare_at(p, q, *map(math.exp, point))
-    if sign * rec.gap < scan_abs_gap:
-        rec = compare_at(p, q, origin.x, origin.y)
-    return rec
+    return origin if sign * rec.gap < scan_abs_gap else rec
 
 
 def find_counterexamples(params, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
@@ -536,6 +534,14 @@ def _count_steps(values):
     return int(np.sum(diffs > tau)), int(np.sum(diffs < -tau))
 
 
+def _shape_holds(expected, rises, falls):
+    if expected == "increasing":
+        return rises > 0 and falls == 0
+    if expected == "decreasing":
+        return falls > 0 and rises == 0
+    return rises > 0 and falls > 0
+
+
 def _lemma_grid(grid_size):
     grid_size = int(grid_size)
     if grid_size < 3:
@@ -557,17 +563,11 @@ def check_h_lemma(p, grid_size=10_000):
     i_max = int(np.argmax(values))
     grid_max = float(values[i_max])
     if p >= 0.0:
-        expected = "increasing"
-        bound = math.inf
-        passed = rises > 0 and falls == 0
+        expected, bound = "increasing", math.inf
     elif p <= -1.0:
-        expected = "decreasing"
-        bound = math.inf
-        passed = falls > 0 and rises == 0
+        expected, bound = "decreasing", math.inf
     else:
-        expected = "interior-max"
-        bound = c_of_p(p) + 1e-8
-        passed = rises > 0 and falls > 0 and grid_max <= bound
+        expected, bound = "interior-max", c_of_p(p) + 1e-8
     return HLemmaCheck(
         p=p,
         grid_size=int(grid_size),
@@ -577,40 +577,30 @@ def check_h_lemma(p, grid_size=10_000):
         grid_max=grid_max,
         grid_argmax=float(r[i_max]),
         max_bound=bound,
-        passed=passed,
+        passed=_shape_holds(expected, rises, falls) and grid_max <= bound,
     )
 
 
-def _g_expected(p, q):
-    if p > 0.0:
-        return "decreasing" if q <= p else "non-monotone"
-    if p == 0.0:
-        if q >= 1.0:
-            return "increasing"
-        return "decreasing" if q <= 0.0 else "non-monotone"
-    if p <= -1.0:
-        return "increasing" if q >= p else "non-monotone"
-    return "increasing" if q >= c_of_p(p) else "non-monotone"
+# g_pq increases exactly where W is convex for (p, q), decreases exactly
+# where it is concave, and is non-monotone in the "neither" region.
+_G_SHAPE = {
+    ConvexityClass.STRICTLY_CONVEX: "increasing",
+    ConvexityClass.STRICTLY_CONCAVE: "decreasing",
+    ConvexityClass.NEITHER: "non-monotone",
+}
 
 
 def check_g_lemma(p, q, grid_size=10_000):
     """Confirm the expected monotonicity clause of g_pq on the log grid.
 
-    The clause is selected from (p, q) exactly as the classification
-    partitions the plane; evaluation runs in log space so extreme orders
-    cannot overflow.
+    The clause is the one classify(p, q) selects; evaluation runs in log
+    space so extreme orders cannot overflow.
     """
     p = float(p)
     q = float(q)
     r = _lemma_grid(grid_size)
-    rises, falls = _count_steps(_ln_g(p, q, r, np.asarray(w0(r))))
-    expected = _g_expected(p, q)
-    if expected == "increasing":
-        passed = rises > 0 and falls == 0
-    elif expected == "decreasing":
-        passed = falls > 0 and rises == 0
-    else:
-        passed = rises > 0 and falls > 0
+    rises, falls = _count_steps(_ln_g(p, q, r, np.asarray(w0(r)))[2])
+    expected = _G_SHAPE[classify(p, q)]
     return GLemmaCheck(
         p=p,
         q=q,
@@ -618,5 +608,5 @@ def check_g_lemma(p, q, grid_size=10_000):
         expected=expected,
         rises=rises,
         falls=falls,
-        passed=passed,
+        passed=_shape_holds(expected, rises, falls),
     )

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wconvexity import lambert
 from wconvexity.lambert import RESIDUAL_TOL, residual_bound, w0, w0_prime
+from wconvexity.verify import sample_pairs
 
 # Frozen from bisect_omega() below (interval width < 1e-16).
 OMEGA = 0.5671432904097838
@@ -74,6 +76,11 @@ def test_w0_matches_mpmath_over_the_double_range():
             np.logspace(-300.0, 308.0, 2_001),
             # e**w * (w + 1) overflows in the Halley step from z ~ 1.795e308.
             np.linspace(1.79e308, np.finfo(np.float64).max, 201),
+            # The band where the Halley iterate can alternate between two
+            # doubles, and the weakest piece of the initial guess.
+            np.linspace(0.01, 10.0, 2_001),
+            # Subnormals, from the smallest one up to the smallest normal.
+            np.logspace(-323.3, math.log10(np.finfo(np.float64).tiny), 201),
         ]
     )
     w = w0(z)
@@ -81,6 +88,18 @@ def test_w0_matches_mpmath_over_the_double_range():
         ref = [float(mpmath.lambertw(mpmath.mpf(float(v))).real) for v in z]
     worst = max(_ulps_apart(a, b) for a, b in zip(w, ref))
     assert worst <= 1
+
+
+def test_w0_is_elementwise():
+    z = np.concatenate([sample_pairs(42, 0, 4096)[0], np.linspace(0.05, 0.4, 1001)])
+    batch = w0(z)
+    assert [float(v) for v in batch] == [w0(float(v)) for v in z]
+
+
+def test_w0_raises_when_halley_does_not_converge(monkeypatch):
+    monkeypatch.setattr(lambert, "_STEPS", 1)
+    with pytest.raises(RuntimeError):
+        w0(np.logspace(-3.0, 3.0, 50))
 
 
 def test_scalar_and_array_shapes():

@@ -206,6 +206,59 @@ def test_classify_boundary_inclusivity():
     assert classify(0.0, 0.0) is CONCAVE
 
 
+def _down(v):
+    return float(np.nextafter(v, -math.inf))
+
+
+def _up(v):
+    return float(np.nextafter(v, math.inf))
+
+
+_C_HALF = c_of_p(-0.5)
+_C_NEAR_MINUS_ONE = c_of_p(_up(-1.0))
+
+
+@pytest.mark.parametrize(
+    "p,q,expected",
+    [
+        # q = p on the p <= -1 edge.
+        (-2.0, _down(-2.0), NEITHER),
+        (-2.0, -2.0, CONVEX),
+        (-2.0, _up(-2.0), CONVEX),
+        # q = p on the p >= 0 edge.
+        (2.0, _down(2.0), CONCAVE),
+        (2.0, 2.0, CONCAVE),
+        (2.0, _up(2.0), NEITHER),
+        # q = C(p) inside -1 < p < 0.
+        (-0.5, _down(_C_HALF), NEITHER),
+        (-0.5, _C_HALF, CONVEX),
+        (-0.5, _up(_C_HALF), CONVEX),
+        # p = -1, where C(p) = p, and one ulp either side of it.
+        (-1.0, _down(-1.0), NEITHER),
+        (-1.0, -1.0, CONVEX),
+        (_down(-1.0), _down(-1.0), CONVEX),
+        (_down(-1.0), _down(_down(-1.0)), NEITHER),
+        (_up(-1.0), _C_NEAR_MINUS_ONE, CONVEX),
+        (_up(-1.0), _down(_C_NEAR_MINUS_ONE), NEITHER),
+        # p = 0, where the convex edge is q = C(0) = 1 and the concave edge
+        # q = 0, and one ulp either side of it.
+        (0.0, 1.0, CONVEX),
+        (0.0, _down(1.0), NEITHER),
+        (0.0, 0.0, CONCAVE),
+        (0.0, _up(0.0), NEITHER),
+        (_down(0.0), 1.0, CONVEX),
+        (_down(0.0), _down(1.0), NEITHER),
+        (_down(0.0), 0.0, NEITHER),
+        (_up(0.0), 0.0, CONCAVE),
+        (_up(0.0), _up(0.0), CONCAVE),
+        (_up(0.0), _up(_up(0.0)), NEITHER),
+        (_up(0.0), 1.0, NEITHER),
+    ],
+)
+def test_classify_one_ulp_either_side_of_each_boundary(p, q, expected):
+    assert classify(p, q) is expected
+
+
 def test_classify_seam_at_minus_one():
     for q in (-2.0, -1.1, -0.9, -0.5, 0.0, 1.0):
         assert classify(-1.0 - 1e-9, q) is classify(-1.0 + 1e-9, q)

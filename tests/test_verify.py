@@ -170,15 +170,31 @@ def test_partitioned_scan_merges_to_single_pass():
     assert right == full
 
 
-@pytest.mark.parametrize("chunk,n", [(1, 300), (7, 3_000), (4096, 10_000)])
-def test_chunk_size_does_not_change_results(monkeypatch, chunk, n):
+@pytest.mark.parametrize(
+    "cell,seed,chunk,n",
+    [
+        ((0.0, 0.5), 9, 1, 300),
+        ((0.0, 0.5), 9, 7, 3_000),
+        ((0.0, 0.5), 9, 4096, 10_000),
+        ((-0.5, -1.0), 42, 16, 20_000),
+    ],
+    ids=["1-300", "7-3000", "4096-10000", "neither-seed42-16-20000"],
+)
+def test_chunk_size_does_not_change_results(monkeypatch, cell, seed, chunk, n):
+    params = HpqParams(*cell)
     expected = (
-        verify_region(HpqParams(0.0, 0.5), n, 9),
-        find_counterexamples(HpqParams(0.0, 0.5), n, 9),
+        verify_region(params, n, seed),
+        find_counterexamples(params, n, seed),
     )
     monkeypatch.setattr(verify, "_CHUNK", chunk)
-    assert verify_region(HpqParams(0.0, 0.5), n, 9) == expected[0]
-    assert find_counterexamples(HpqParams(0.0, 0.5), n, 9) == expected[1]
+    assert verify_region(params, n, seed) == expected[0]
+    assert find_counterexamples(params, n, seed) == expected[1]
+
+
+def test_compare_at_replays_report_records():
+    report = verify_region(HpqParams(-3.0, -3.0), 10_000, 42)
+    for rec in report.worst_records:
+        assert compare_at(rec.p, rec.q, rec.x, rec.y) == rec
 
 
 def test_top_k_matches_stable_argsort_including_ties():
