@@ -1,9 +1,9 @@
 """Two-argument Hoelder (power) means with a stable geometric-mean limit.
 
 holder_mean(p, r, s) = ((r**p + s**p) / 2) ** (1/p) for p != 0 and
-sqrt(r*s) at p = 0.  Tiny nonzero orders go through a second-order
-expansion around the geometric mean, extreme exponents through log space,
-so the mean stays finite and accurate over the whole double range.
+sqrt(r*s) at p = 0.  Tiny nonzero orders go through an exact cosh form
+around the geometric mean, extreme exponents through log space, so the
+mean stays finite and accurate over the whole double range.
 """
 
 import numpy as np
@@ -13,8 +13,8 @@ from ._checks import finite, like, positive
 __all__ = ["holder_mean", "quartic_harmonic_form"]
 
 # Below this |p| the direct formula amplifies base rounding by 1/p past
-# 1e-10 relative; the expansion sqrt(r*s) * exp(p * log(r/s)**2 / 8) has
-# an O(p**3 * log(r/s)**4) error, negligible there.
+# 1e-10 relative.  With d = log(r/s) the mean is exactly sqrt(r*s) *
+# cosh(p*d/2)**(1/p); log cosh(2u) = log1p(2*sinh(u)**2) avoids cancellation.
 _SMALL_P = 1e-5
 # |p * log(arg)| beyond this over/underflows r**p in double precision.
 _EXPONENT_GUARD = 700.0
@@ -47,7 +47,7 @@ def holder_mean(p, r, s):
         out = _geometric(rr, ss)
     elif abs(p) < _SMALL_P:
         d = np.log(rr) - np.log(ss)
-        out = _geometric(rr, ss) * np.exp(p * d * d / 8.0)
+        out = _geometric(rr, ss) * np.exp(np.log1p(2.0 * np.sinh(p * d / 4.0) ** 2) / p)
     else:
         a = p * np.log(rr)
         b = p * np.log(ss)

@@ -106,7 +106,7 @@ def g_pq(p, q, r):
         raise OverflowError("g_pq overflows the double range")
     if np.any(ln_val < _LN_TINY):
         raise OverflowError("g_pq underflows the double range")
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         direct = w**q / (arr**p * (w + 1.0))
     safe = (np.abs(a) < 700.0) & (np.abs(b) < 700.0) & np.isfinite(direct)
     return like(np.where(safe, direct, np.exp(ln_val)), r)

@@ -233,17 +233,8 @@ class VerificationReport:
 
     def to_json(self):
         """Single JSON document; floats round-trip exactly via repr."""
-        doc = {
-            "params": {"p": self.params.p, "q": self.params.q},
-            "expected": self.expected.value,
-            "n_samples": self.n_samples,
-            "n_gap_positive": self.n_gap_positive,
-            "n_gap_negative": self.n_gap_negative,
-            "max_abs_gap": self.max_abs_gap,
-            "worst_records": [asdict(rec) for rec in self.worst_records],
-            "seed": self.seed,
-            "verdict": self.verdict,
-        }
+        doc = asdict(self)
+        doc["expected"] = self.expected.value
         return json.dumps(doc)
 
 
@@ -251,15 +242,13 @@ class VerificationReport:
 class _Part:
     """Scan result over a range of sample indices; _merge_parts combines two.
 
-    worst, top and bottom hold (|gap|, index, record) entries ranked by
-    _ranked: the _WORST_KEPT largest |gap| overall, and the largest
-    significant positive and negative gap (empty when there is none).
+    worst, top and bottom hold ComparisonRecords ranked by _ranked: the
+    _WORST_KEPT largest |gap| overall, and the largest significant positive
+    and negative gap (empty when there is none).
     """
 
-    count: int
     positive: int
     negative: int
-    max_abs_gap: float
     worst: tuple
     top: tuple
     bottom: tuple
@@ -275,9 +264,10 @@ def _top_k(a, k):
     return idx[np.argsort(-a[idx], kind="stable")[:k]]
 
 
-def _ranked(entries, k):
-    # The first k entries by largest |gap|, lower sample index among equals.
-    return tuple(sorted(entries, key=lambda entry: (-entry[0], entry[1]))[:k])
+def _ranked(records, k):
+    # The first k records by largest |gap|; the sort is stable, so among
+    # equals the earlier record, which is the lower sample index, wins.
+    return tuple(sorted(records, key=lambda rec: -abs(rec.gap))[:k])
 
 
 def _scan_part(p, q, seed, start, count):
@@ -290,30 +280,28 @@ def _scan_part(p, q, seed, start, count):
     positive = gap > tol
     negative = gap < -tol
 
-    def entry(i):
-        return float(abs_gap[i]), int(start + i), _record(p, q, columns, i)
-
     def extreme(mask):
         i = np.argmax(np.where(mask, abs_gap, -1.0))
-        return (entry(i),) if mask[i] else ()
+        return (_record(p, q, columns, i),) if mask[i] else ()
 
     return _Part(
-        count=int(count),
         positive=int(np.sum(positive)),
         negative=int(np.sum(negative)),
-        max_abs_gap=float(abs_gap.max(initial=0.0)),
-        worst=tuple(entry(i) for i in _top_k(abs_gap, _WORST_KEPT)),
+        worst=tuple(_record(p, q, columns, i) for i in _top_k(abs_gap, _WORST_KEPT)),
         top=extreme(positive),
         bottom=extreme(negative),
     )
 
 
 def _merge_parts(a, b):
+    """Combine the parts of two adjacent index ranges, a before b.
+
+    Ranked records carry no sample index: ties in |gap| go to a's record
+    because _ranked sorts stably, so parts must be merged in sample order.
+    """
     return _Part(
-        count=a.count + b.count,
         positive=a.positive + b.positive,
         negative=a.negative + b.negative,
-        max_abs_gap=max(a.max_abs_gap, b.max_abs_gap),
         worst=_ranked(a.worst + b.worst, _WORST_KEPT),
         top=_ranked(a.top + b.top, 1),
         bottom=_ranked(a.bottom + b.bottom, 1),
@@ -363,11 +351,11 @@ def verify_region(params, n_samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, expected
     return VerificationReport(
         params=params,
         expected=expected,
-        n_samples=part.count,
+        n_samples=n_samples,
         n_gap_positive=part.positive,
         n_gap_negative=part.negative,
-        max_abs_gap=part.max_abs_gap,
-        worst_records=tuple(rec for _, _, rec in part.worst),
+        max_abs_gap=abs(part.worst[0].gap),
+        worst_records=part.worst,
         seed=seed,
         verdict=_verdict(expected, part.positive, part.negative),
     )
@@ -405,16 +393,15 @@ def _golden_max(fun, a, b, iters=20):
     return c if fc >= fd else d
 
 
-def _refine(p, q, extreme, sign):
+def _refine(p, q, origin, sign):
     """Coordinate-wise golden-section polish of sign * gap around a scan extreme.
 
-    Falls back to the scan's own record of the extreme when the polish ends
-    below the |gap| the scan saw there.
+    Falls back to the scan's own record `origin` of the extreme when the
+    polish ends below the |gap| the scan saw there.
     """
     lo, hi = SAMPLE_DOMAIN
     ln_lo, ln_hi = math.log(lo), math.log(hi)
     half_span = 0.5 * math.log(10.0)
-    scan_abs_gap, _, origin = extreme
 
     def signed_gap(lx, ly):
         return sign * compare_at(p, q, math.exp(lx), math.exp(ly)).gap
@@ -436,7 +423,7 @@ def _refine(p, q, extreme, sign):
             best = val
             point[coord] = t
     rec = compare_at(p, q, *map(math.exp, point))
-    return origin if sign * rec.gap < scan_abs_gap else rec
+    return origin if sign * rec.gap < abs(origin.gap) else rec
 
 
 def find_counterexamples(params, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):

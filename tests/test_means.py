@@ -49,6 +49,38 @@ def test_continuity_at_zero():
             assert abs(holder_mean(p, r, s) - approx) <= 1e-10 * h0
 
 
+_SMALL_ORDERS = (1e-300, -1e-300, 1e-9, -1e-9, 1e-7, -1e-7, 9.9e-6, -9.9e-6)
+_OTHER_ORDERS = (0.5, -0.25, 2.0, -3.0, 300.0, -300.0, 1e300, -1e300)
+
+
+@pytest.mark.parametrize("p", _SMALL_ORDERS + _OTHER_ORDERS)
+def test_holder_mean_matches_mpmath(p):
+    # Reference from the definition, with 40 digits beyond the ones 1/p
+    # cancels.  Bounds: below |p| = 1e-5 the mean is G * exp(E) with
+    # E = ln(H/G), so rounding in E grows by (1 + |E|): 4 ulp times that.
+    # Otherwise r**p or the log-space sum loses up to 2 eps * (2 + |ln H|).
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    eps = np.finfo(np.float64).eps
+    # The sampling window, then nearly the whole double range.
+    for lo, hi in ((-6.0, 22.0), (-300.0, 300.0)):
+        r, s = 10.0 ** rng.uniform(lo, hi, (2, 200))
+        h = holder_mean(p, r, s)
+        with mpmath.workdps(40 + max(0, math.ceil(-math.log10(abs(p))))):
+            mp = mpmath.mpf(p)
+            for a, b, v in zip(r, s, h):
+                ln_a, ln_b = mpmath.log(a), mpmath.log(b)
+                ref = ((mpmath.exp(mp * ln_a) + mpmath.exp(mp * ln_b)) / 2) ** (1 / mp)
+                rel = float(abs(mpmath.mpf(v) / ref - 1))
+                ln_h = float(mpmath.log(ref))
+                if abs(p) < 1e-5:
+                    ulp = np.spacing(float(ref)) / float(ref)
+                    bound = 4 * ulp * (1 + abs(ln_h - float(ln_a + ln_b) / 2))
+                else:
+                    bound = 2 * eps * (2 + abs(ln_h))
+                assert rel <= bound, (p, a, b)
+
+
 def test_extreme_orders_stay_between():
     for p in (300.0, -300.0, 650.0, -650.0):
         v = holder_mean(p, 1e-5, 2.0)

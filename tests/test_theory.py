@@ -1,6 +1,7 @@
 """Tests for the slope diagnostics and the (p, q) classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,26 @@ def test_g_pq_out_of_range_raises():
         g_pq(0.0, 40.0, 1e-9)  # underflows past the normal range
     with pytest.raises(ValueError):
         g_pq(1.0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "p,q",
+    [(3.0, 3.0), (-3.0, -300.0), (2.0, 1.0), (30.0, 30.0), (1.0, 1.0), (0.0, -1.0), (-1.0, 2.0)],
+)
+def test_g_pq_is_silent_over_the_double_range(p, q):
+    # Where w**q and r**p both underflow, the direct form divides 0 by 0;
+    # the log form is returned there, and no RuntimeWarning may escape.
+    evaluated = 0
+    for chunk in np.array_split(np.logspace(-300.0, 300.0, 2_001), 87):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                g = np.asarray(g_pq(p, q, chunk))
+            except OverflowError:
+                continue
+        assert np.all(np.isfinite(g) & (g > 0.0))
+        evaluated += chunk.size
+    assert evaluated > 0
 
 
 def test_g_log_derivative_identity():

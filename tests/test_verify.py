@@ -16,7 +16,10 @@ from wconvexity.verify import (
     H_LEMMA_FIXTURES,
     NEITHER_FIXTURES,
     SAMPLE_DOMAIN,
+    ComparisonRecord,
     SearchExhaustedError,
+    _WORST_KEPT,
+    _Part,
     _gap_arrays,
     _merge_parts,
     _scan_part,
@@ -204,6 +207,31 @@ def test_top_k_matches_stable_argsort_including_ties():
     _, _, gap = _gap_arrays(0.0, 0.5, *sample_pairs(3, 0, 20_000))
     for values in (np.abs(gap), np.round(np.abs(gap), 14), np.zeros(5), np.ones(30)):
         assert np.array_equal(_top_k(values, 10), np.argsort(-values, kind="stable")[:10])
+
+
+def test_merge_keeps_the_earlier_record_among_equal_gaps():
+    # Parts carry no sample index: a tie in |gap| goes to the part merged
+    # first, which is the lower sample index when parts merge in order.
+    def part(x0, sign):
+        recs = [
+            ComparisonRecord(x0 + i, 1.0, 0.0, 0.5, 1.0, 1.0, (-1) ** i * sign * 0.25)
+            for i in range(_WORST_KEPT)
+        ]
+        return _Part(
+            positive=_WORST_KEPT // 2,
+            negative=_WORST_KEPT // 2,
+            worst=tuple(recs),
+            top=tuple(r for r in recs if r.gap > 0)[:1],
+            bottom=tuple(r for r in recs if r.gap < 0)[:1],
+        )
+
+    earlier, later = part(1.0, +1.0), part(100.0, -1.0)
+    merged = _merge_parts(earlier, later)
+    assert merged.worst == earlier.worst
+    assert merged.top == earlier.top
+    assert merged.bottom == earlier.bottom
+    assert merged.positive == merged.negative == _WORST_KEPT
+    assert _merge_parts(later, earlier).worst == later.worst
 
 
 def test_verify_region_validates_arguments():
