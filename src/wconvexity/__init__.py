@@ -7,61 +7,20 @@ numerical verifier for the classification, its slope lemmas, and the
 harmonic-geometric-arithmetic inequality chain.
 """
 
-from .lambert import w0, w0_prime
-from .means import holder_mean, quartic_harmonic_form
-from .raster import RegionRaster, build_raster, raster_to_csv, raster_to_svg
-from .theory import (
-    ConvexityClass,
-    HpqParams,
-    c_of_p,
-    classify,
-    f1,
-    g_pq,
-    h_p,
-    h_p_argmax,
-)
-from .verify import (
-    ComparisonRecord,
-    CounterexamplePair,
-    SearchExhaustedError,
-    VerificationReport,
-    check_chain,
-    check_g_lemma,
-    check_h_lemma,
-    compare_at,
-    find_counterexamples,
-    sample_pairs,
-    verify_region,
-)
+from . import lambert, means, raster, theory, verify
+from .lambert import *  # noqa: F403
+from .means import *  # noqa: F403
+from .raster import *  # noqa: F403
+from .theory import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComparisonRecord",
-    "ConvexityClass",
-    "CounterexamplePair",
-    "HpqParams",
-    "RegionRaster",
-    "SearchExhaustedError",
-    "VerificationReport",
-    "build_raster",
-    "c_of_p",
-    "check_chain",
-    "check_g_lemma",
-    "check_h_lemma",
-    "classify",
-    "compare_at",
-    "f1",
-    "find_counterexamples",
-    "g_pq",
-    "h_p",
-    "h_p_argmax",
-    "holder_mean",
-    "quartic_harmonic_form",
-    "raster_to_csv",
-    "raster_to_svg",
-    "sample_pairs",
-    "verify_region",
-    "w0",
-    "w0_prime",
-]
+# Each module's __all__ is the one list of its public names.  Start empty:
+# += onto a module's own list would extend that list in place.
+__all__ = []
+__all__ += lambert.__all__
+__all__ += means.__all__
+__all__ += raster.__all__
+__all__ += theory.__all__
+__all__ += verify.__all__

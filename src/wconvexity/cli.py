@@ -145,10 +145,10 @@ def _cmd_raster(args):
 
 def _selftest_checks(samples, seed, inject_fault):
     for p in H_LEMMA_FIXTURES:
-        res = check_h_lemma(p, 10_000)
+        res = check_h_lemma(p)
         yield res.passed, f"h-lemma p={p:g} ({res.expected}: {res.rises} up / {res.falls} down)"
     for p, q in G_LEMMA_FIXTURES:
-        res = check_g_lemma(p, q, 10_000)
+        res = check_g_lemma(p, q)
         yield res.passed, f"g-lemma p={p:g} q={q:g} ({res.expected}: {res.rises} up / {res.falls} down)"
     for p in GRID_AXIS:
         for q in GRID_AXIS:

@@ -5,10 +5,11 @@ defining residual w * e**w - z, then returns whichever of the result and its
 two neighbouring doubles minimises that residual.  No step looks at other
 elements, so w0 is elementwise: a value never depends on its batch.  This
 keeps |w0(z) * e**w0(z) - z| within 2e-15 * max(z, 1) across the verified
-envelope [0, 1e9]; the w >= 16 band nearly exhausts that budget because the
-spacing of representable w values alone contributes ~1.9e-15 * z.  Past
-z ~ 2.5e15 (w >= 32) double spacing exceeds the envelope and accuracy
-degrades gracefully to ~1 ulp of w.
+envelope [0, 1e9], bar rare z in [1e8, 1e9] where the polish keeps a
+neighbour of the best double (up to 1.008 times the bound); the w >= 16 band
+nearly exhausts that budget because the spacing of representable w values
+alone contributes ~1.9e-15 * z.  Past z ~ 2.5e15 (w >= 32) double spacing
+exceeds the envelope and accuracy degrades gracefully to ~1 ulp of w.
 
 All functions are pure and reentrant; they accept scalars or arrays and
 return matching shapes.
@@ -18,7 +19,7 @@ import numpy as np
 
 from ._checks import like, positive
 
-__all__ = ["RESIDUAL_TOL", "residual_bound", "w0", "w0_prime"]
+__all__ = ["w0", "w0_prime"]
 
 # Residual envelope: a few ulps at double precision, scaled by max(z, 1).
 RESIDUAL_TOL = 2e-15

@@ -2,8 +2,9 @@
 
 holder_mean(p, r, s) = ((r**p + s**p) / 2) ** (1/p) for p != 0 and
 sqrt(r*s) at p = 0.  Tiny nonzero orders go through an exact cosh form
-around the geometric mean, extreme exponents through log space, so the
-mean stays finite and accurate over the whole double range.
+around the geometric mean, extreme exponents through log space with the
+dominant argument factored out, so the mean stays finite and accurate over
+the whole double range.
 """
 
 import numpy as np
@@ -18,7 +19,6 @@ __all__ = ["holder_mean", "quartic_harmonic_form"]
 _SMALL_P = 1e-5
 # |p * log(arg)| beyond this over/underflows r**p in double precision.
 _EXPONENT_GUARD = 700.0
-_LN2 = float(np.log(2.0))
 _TINY = float(np.finfo(np.float64).tiny)
 
 
@@ -51,11 +51,17 @@ def holder_mean(p, r, s):
     else:
         a = p * np.log(rr)
         b = p * np.log(ss)
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            direct = ((rr**p + ss**p) / 2.0) ** (1.0 / p)
-            stable = np.exp((np.logaddexp(a, b) - _LN2) / p)
         use_stable = (np.abs(a) > _EXPONENT_GUARD) | (np.abs(b) > _EXPONENT_GUARD)
-        out = np.where(use_stable, stable, direct)
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            out = ((rr**p + ss**p) / 2.0) ** (1.0 / p)
+            if use_stable.any():
+                # Factor out the dominant argument: base * ((1 + t) / 2)**(1/p)
+                # with t = (lo/hi)**|p| <= 1 keeps a few ulp for any |ln H|.
+                # An overflowing hi / lo gives the limit base * 2**(-1/p).
+                hi, lo = np.maximum(rr, ss), np.minimum(rr, ss)
+                base = hi if p > 0.0 else lo
+                log_half_sum = np.log1p(np.expm1(-abs(p) * np.log(hi / lo)) / 2.0)
+                out = np.where(use_stable, base * np.exp(log_half_sum / p), out)
 
     lo = np.minimum(rr, ss)
     hi = np.maximum(rr, ss)

@@ -12,18 +12,7 @@ from dataclasses import dataclass
 from ._checks import finite
 from .theory import ConvexityClass, c_of_p, classify
 
-__all__ = [
-    "COLOR_CONCAVE",
-    "COLOR_CONVEX",
-    "COLOR_CURVE",
-    "COLOR_NEITHER",
-    "RegionRaster",
-    "build_raster",
-    "raster_to_csv",
-    "raster_to_svg",
-    "write_csv",
-    "write_svg",
-]
+__all__ = ["RegionRaster", "build_raster", "write_csv", "write_svg"]
 
 COLOR_CONVEX = "#2b6cb0"
 COLOR_CONCAVE = "#dd6b20"
@@ -78,15 +67,11 @@ def build_raster(p_min, p_max, q_min, q_max, step):
     return RegionRaster(p_min=p_min, p_max=p_max, q_min=q_min, q_max=q_max, step=step, cells=cells)
 
 
-def raster_to_csv(raster):
+def write_csv(raster, path):
     lines = ["p,q,class"]
     lines.extend(f"{p!r},{q!r},{cls.value}" for p, q, cls in raster.cells)
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(raster, path):
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(raster_to_csv(raster))
+        handle.write("\n".join(lines) + "\n")
 
 
 def _make_scales(raster):
@@ -105,7 +90,7 @@ def _make_scales(raster):
     return sx, sy, (x_lo, x_hi, y_lo, y_hi)
 
 
-def raster_to_svg(raster):
+def write_svg(raster, path):
     sx, sy, (x_lo, x_hi, y_lo, y_hi) = _make_scales(raster)
     half = raster.step / 2.0
     out = [
@@ -178,9 +163,5 @@ def raster_to_svg(raster):
             f'<text x="{lx + 26}" y="{ly + 14}" font-size="14" fill="#111111">{label}</text>'
         )
     out.append("</svg>")
-    return "\n".join(out) + "\n"
-
-
-def write_svg(raster, path):
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(raster_to_svg(raster))
+        handle.write("\n".join(out) + "\n")

@@ -21,25 +21,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._checks import finite
 from .lambert import w0
 from .means import holder_mean, quartic_harmonic_form
 from .theory import ConvexityClass, HpqParams, _ln_g, c_of_p, classify, h_p
 
 __all__ = [
-    "CASE_FIXTURES",
     "ComparisonRecord",
     "CounterexamplePair",
-    "DEFAULT_BUDGET",
-    "DEFAULT_SAMPLES",
-    "DEFAULT_SEED",
-    "GLemmaCheck",
-    "GRID_AXIS",
-    "G_LEMMA_FIXTURES",
-    "HLemmaCheck",
-    "H_LEMMA_FIXTURES",
-    "NEITHER_FIXTURES",
-    "SAMPLE_DOMAIN",
-    "SIGNIFICANCE_REL",
     "SearchExhaustedError",
     "VerificationReport",
     "check_chain",
@@ -48,7 +37,6 @@ __all__ = [
     "compare_at",
     "find_counterexamples",
     "sample_pairs",
-    "significance_threshold",
     "verify_region",
 ]
 
@@ -205,10 +193,10 @@ def _record(p, q, columns, i):
 
 
 def compare_at(p, q, x, y):
-    """Evaluate the two sides at one point; gap = lhs - rhs as stored."""
+    """Evaluate the two sides at one scalar point; gap = lhs - rhs as stored."""
     p, q = float(p), float(q)
-    xx = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    yy = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    xx = np.array([finite(x, "x")])
+    yy = np.array([finite(y, "y")])
     return _record(p, q, (xx, yy, *_gap_arrays(p, q, xx, yy)), 0)
 
 

