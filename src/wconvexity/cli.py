@@ -23,6 +23,7 @@ from .verify import (
     H_LEMMA_FIXTURES,
     NEITHER_FIXTURES,
     SearchExhaustedError,
+    _verify_grid,
     check_chain,
     check_g_lemma,
     check_h_lemma,
@@ -150,17 +151,13 @@ def _selftest_checks(samples, seed, inject_fault):
     for p, q in G_LEMMA_FIXTURES:
         res = check_g_lemma(p, q)
         yield res.passed, f"g-lemma p={p:g} q={q:g} ({res.expected}: {res.rises} up / {res.falls} down)"
-    for p in GRID_AXIS:
-        for q in GRID_AXIS:
-            expected = None
-            if inject_fault and (p, q) == (1.0, 1.0):
-                expected = ConvexityClass.STRICTLY_CONVEX
-            report = verify_region(HpqParams(p, q), samples, seed, expected=expected)
-            yield (
-                report.verdict == "pass",
-                f"region p={p:g} q={q:g} ({report.expected.value}: "
-                f"{report.n_gap_positive} pos / {report.n_gap_negative} neg)",
-            )
+    overrides = {(1.0, 1.0): ConvexityClass.STRICTLY_CONVEX} if inject_fault else {}
+    for report in _verify_grid(GRID_AXIS, GRID_AXIS, samples, seed, overrides):
+        yield (
+            report.verdict == "pass",
+            f"region p={report.params.p:g} q={report.params.q:g} ({report.expected.value}: "
+            f"{report.n_gap_positive} pos / {report.n_gap_negative} neg)",
+        )
     budget = max(10 * samples, 1)
     for p, q in NEITHER_FIXTURES:
         try:

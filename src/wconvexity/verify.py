@@ -15,6 +15,7 @@ merged associatively with bit-identical results, which is also the
 contract for parallel execution.
 """
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -181,8 +182,9 @@ def significance_threshold(lhs, rhs):
 
 
 def _gap_arrays(p, q, x, y):
-    lhs = np.asarray(w0(holder_mean(p, x, y)))
-    rhs = np.asarray(holder_mean(q, np.asarray(w0(x)), np.asarray(w0(y))))
+    # One w0 call over [H_p(x, y), x, y]; w0 is elementwise, so this equals three calls.
+    lhs, wx, wy = np.split(np.asarray(w0(np.concatenate([holder_mean(p, x, y), x, y]))), 3)
+    rhs = np.asarray(holder_mean(q, wx, wy))
     return lhs, rhs, lhs - rhs
 
 
@@ -258,11 +260,9 @@ def _ranked(records, k):
     return tuple(sorted(records, key=lambda rec: -abs(rec.gap))[:k])
 
 
-def _scan_part(p, q, seed, start, count):
-    """Scan samples [start, start+count) into a _Part."""
-    x, y = sample_pairs(seed, start, count)
-    lhs, rhs, gap = _gap_arrays(p, q, x, y)
-    columns = (x, y, lhs, rhs, gap)
+def _cell_part(p, q, columns):
+    """One cell's _Part from its (x, y, lhs, rhs, gap) columns."""
+    _, _, lhs, rhs, gap = columns
     tol = significance_threshold(lhs, rhs)
     abs_gap = np.abs(gap)
     positive = gap > tol
@@ -281,6 +281,25 @@ def _scan_part(p, q, seed, start, count):
     )
 
 
+def _scan_part(ps, qs, seed, start, count):
+    """Scan samples [start, start+count) into one _Part per cell of ps x qs.
+
+    Cells come row-major.  W(H_p(x, y)) is taken once per p, W(x) and W(y)
+    once, and H_q(W(x), W(y)) once per q; the cells share these columns.
+    """
+    x, y = sample_pairs(seed, start, count)
+    lhs_by_p = [np.asarray(w0(holder_mean(p, x, y))) for p in ps]
+    wx, wy = np.asarray(w0(x)), np.asarray(w0(y))
+    rhs_by_q = [np.asarray(holder_mean(q, wx, wy)) for q in qs]
+    # Freed before the cells: a 1x1 scan keeps the memory and page faults of one comparison.
+    del wx, wy
+    return [
+        _cell_part(p, q, (x, y, lhs, rhs, lhs - rhs))
+        for p, lhs in zip(ps, lhs_by_p)
+        for q, rhs in zip(qs, rhs_by_q)
+    ]
+
+
 def _merge_parts(a, b):
     """Combine the parts of two adjacent index ranges, a before b.
 
@@ -296,23 +315,21 @@ def _merge_parts(a, b):
     )
 
 
-def _scan_args(params, n, seed, name):
-    # Shared argument checks of verify_region and find_counterexamples.
-    if not isinstance(params, HpqParams):
-        params = HpqParams(*params)
+def _scan_args(n, seed, name):
+    # Shared argument checks of every caller of _scan.
     n = int(n)
     if n < 1:
         raise ValueError(f"{name} must be >= 1")
-    return params, n, _check_seed(seed)
+    return n, _check_seed(seed)
 
 
-def _scan(params, n, seed):
-    # Samples [0, n) in chunks of _CHUNK, merged into one _Part.
-    part = None
+def _scan(ps, qs, n, seed):
+    # Samples [0, n) in chunks of _CHUNK, merged into one _Part per cell.
+    parts = None
     for start in range(0, n, _CHUNK):
-        piece = _scan_part(params.p, params.q, seed, start, min(_CHUNK, n - start))
-        part = piece if part is None else _merge_parts(part, piece)
-    return part
+        pieces = _scan_part(ps, qs, seed, start, min(_CHUNK, n - start))
+        parts = pieces if parts is None else list(map(_merge_parts, parts, pieces))
+    return parts
 
 
 def _verdict(expected, n_positive, n_negative):
@@ -332,21 +349,31 @@ def verify_region(params, n_samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, expected
     threshold and grades the pattern against `expected` (classify(p, q)
     unless overridden).  Deterministic for a fixed seed.
     """
-    params, n_samples, seed = _scan_args(params, n_samples, seed, "n_samples")
-    if expected is None:
-        expected = classify(params.p, params.q)
-    part = _scan(params, n_samples, seed)
-    return VerificationReport(
-        params=params,
-        expected=expected,
-        n_samples=n_samples,
-        n_gap_positive=part.positive,
-        n_gap_negative=part.negative,
-        max_abs_gap=abs(part.worst[0].gap),
-        worst_records=part.worst,
-        seed=seed,
-        verdict=_verdict(expected, part.positive, part.negative),
-    )
+    params = params if isinstance(params, HpqParams) else HpqParams(*params)
+    p, q = params.p, params.q
+    return next(_verify_grid((p,), (q,), n_samples, seed, {(p, q): expected}))
+
+
+def _verify_grid(ps, qs, n_samples, seed, expected):
+    """Yield verify_region's report for every cell of ps x qs, row-major.
+
+    One scan serves all cells.  `expected` maps a cell (p, q) to its
+    override of classify(p, q).
+    """
+    n_samples, seed = _scan_args(n_samples, seed, "n_samples")
+    for (p, q), part in zip(itertools.product(ps, qs), _scan(ps, qs, n_samples, seed)):
+        cls = expected.get((p, q)) or classify(p, q)
+        yield VerificationReport(
+            params=HpqParams(p, q),
+            expected=cls,
+            n_samples=n_samples,
+            n_gap_positive=part.positive,
+            n_gap_negative=part.negative,
+            max_abs_gap=abs(part.worst[0].gap),
+            worst_records=part.worst,
+            seed=seed,
+            verdict=_verdict(cls, part.positive, part.negative),
+        )
 
 
 # --------------------------------------------------------------------------
@@ -423,10 +450,11 @@ def find_counterexamples(params, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     (either the budget is too small or the implementation is wrong: the
     classification guarantees both exist).
     """
-    params, budget, seed = _scan_args(params, budget, seed, "budget")
+    params = params if isinstance(params, HpqParams) else HpqParams(*params)
+    budget, seed = _scan_args(budget, seed, "budget")
     if classify(params.p, params.q) is not ConvexityClass.NEITHER:
         raise ValueError("find_counterexamples requires a 'neither' pair")
-    part = _scan(params, budget, seed)
+    (part,) = _scan((params.p,), (params.q,), budget, seed)
     missing = [
         name
         for name, found in (("positive", part.top), ("negative", part.bottom))

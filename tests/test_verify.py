@@ -176,16 +176,51 @@ def test_verify_region_expected_override_detects_mismatch():
 
 
 def test_partitioned_scan_merges_to_single_pass():
-    full = _scan_part(0.0, 0.5, 9, 0, 10_000)
-    parts = [
-        _scan_part(0.0, 0.5, 9, 0, 3_333),
-        _scan_part(0.0, 0.5, 9, 3_333, 3_333),
-        _scan_part(0.0, 0.5, 9, 6_666, 3_334),
-    ]
-    left = _merge_parts(_merge_parts(parts[0], parts[1]), parts[2])
-    right = _merge_parts(parts[0], _merge_parts(parts[1], parts[2]))
-    assert left == full
-    assert right == full
+    def merge(a, b):
+        return list(map(_merge_parts, a, b))
+
+    for ps, qs in (((0.0,), (0.5,)), ((0.0, -0.5), (0.5, -1.0))):
+        full = _scan_part(ps, qs, 9, 0, 10_000)
+        parts = [
+            _scan_part(ps, qs, 9, 0, 3_333),
+            _scan_part(ps, qs, 9, 3_333, 3_333),
+            _scan_part(ps, qs, 9, 6_666, 3_334),
+        ]
+        left = merge(merge(parts[0], parts[1]), parts[2])
+        right = merge(parts[0], merge(parts[1], parts[2]))
+        assert left == full
+        assert right == full
+
+
+@pytest.mark.parametrize("chunk,n", [(7, 50), (None, 1_000), (None, 70_000)])
+def test_grid_reports_equal_per_cell_reports(monkeypatch, chunk, n):
+    if chunk is not None:
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+    ps, qs = (-0.5, 0.0, 1.0), (-1.0, 0.25, 1.0)
+    overrides = {(1.0, 1.0): CONVEX}
+    reports = list(verify._verify_grid(ps, qs, n, 42, overrides))
+    cells = [(p, q) for p in ps for q in qs]
+    assert [(r.params.p, r.params.q) for r in reports] == cells
+    for (p, q), report in zip(cells, reports):
+        single = verify_region(HpqParams(p, q), n, 42, expected=overrides.get((p, q)))
+        assert report.to_json() == single.to_json()
+    assert reports[cells.index((1.0, 1.0))].verdict == "fail"
+
+
+@pytest.mark.parametrize("chunk,n,chunks", [(None, 1_000, 1), (7, 20, 3)])
+def test_w0_calls_per_chunk(monkeypatch, chunk, n, chunks):
+    if chunk is not None:
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+    calls, real_w0 = [], verify.w0
+    monkeypatch.setattr(verify, "w0", lambda z: calls.append(np.size(z)) or real_w0(z))
+    list(verify._verify_grid(GRID_AXIS, GRID_AXIS, n, 42, {}))
+    assert len(calls) == 13 * chunks  # W(H_p) per p, then W(x) and W(y)
+    calls.clear()
+    verify_region(HpqParams(-0.5, -1.0), n, 42)
+    assert len(calls) == 3 * chunks
+    calls.clear()
+    compare_at(-0.5, -1.0, 2.0, 3.0)
+    assert calls == [3]
 
 
 @pytest.mark.parametrize(
