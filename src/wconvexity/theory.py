@@ -137,6 +137,16 @@ def h_p_argmax(p):
     return (z - 1.0) * math.exp(z - 1.0)
 
 
+def _on_or_above_curve(p, q):
+    # Exactly q >= C(p): c_of_p is within 2**-52 of C(p), so floats decide beyond
+    # 2**-51 of it; within, q >= 1 or (1 - q)**2 <= -4p in integers, q = n/d, p = m/e.
+    c = c_of_p(p)
+    if abs(q - c) > 2.0**-51:
+        return q >= c
+    (n, d), (m, e) = q.as_integer_ratio(), p.as_integer_ratio()
+    return q >= 1.0 or (d - n) ** 2 * e <= -4 * m * d * d
+
+
 def classify(p, q):
     """Three-way convexity verdict of W for the pair (p, q).
 
@@ -150,7 +160,7 @@ def classify(p, q):
     if p <= -1.0:
         return ConvexityClass.STRICTLY_CONVEX if q >= p else ConvexityClass.NEITHER
     if p <= 0.0:
-        if q >= c_of_p(p):
+        if _on_or_above_curve(p, q):
             return ConvexityClass.STRICTLY_CONVEX
         if p == 0.0 and q <= 0.0:
             return ConvexityClass.STRICTLY_CONCAVE

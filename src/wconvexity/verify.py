@@ -392,53 +392,50 @@ class CounterexamplePair:
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(fun, a, b, iters=20):
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fun(d)
-    return c if fc >= fd else d
+def _refine(p, q, origins):
+    """Golden-section polish of both scan extremes, (top, bottom), in lockstep.
 
-
-def _refine(p, q, origin, sign):
-    """Coordinate-wise golden-section polish of sign * gap around a scan extreme.
-
-    Falls back to the scan's own record `origin` of the extreme when the
-    polish ends below the |gap| the scan saw there.
+    Direction i maximises signs[i] * gap, one coordinate at a time; each step
+    evaluates both in one _gap_arrays call and branches by np.where over the
+    same float operations, so each equals its own scalar search bit for bit.
+    A direction keeps its origin when the polish ends below the scan's |gap|.
     """
-    lo, hi = SAMPLE_DOMAIN
-    ln_lo, ln_hi = math.log(lo), math.log(hi)
+    signs = np.array([1.0, -1.0])
+    ln_lo, ln_hi = (math.log(v) for v in SAMPLE_DOMAIN)
     half_span = 0.5 * math.log(10.0)
+    # Row 0 holds ln x and row 1 ln y, one column per direction.
+    point = np.array([[math.log(o.x) for o in origins], [math.log(o.y) for o in origins]])
 
-    def signed_gap(lx, ly):
-        return sign * compare_at(p, q, math.exp(lx), math.exp(ly)).gap
+    def columns(logs):
+        # math.exp per element: np.exp can differ from it in the last bit.
+        x, y = (np.array([math.exp(v) for v in row]) for row in logs)
+        return (x, y, *_gap_arrays(p, q, x, y))
 
-    point = [math.log(origin.x), math.log(origin.y)]
-    best = signed_gap(*point)
+    def fun(coord, t):
+        moved = point.copy()
+        moved[coord] = t
+        return signs * columns(moved)[4]
+
+    best = signs * columns(point)[4]
     for coord in (0, 1):
-
-        def fun(t):
-            moved = list(point)
-            moved[coord] = t
-            return signed_gap(*moved)
-
-        a = max(ln_lo, point[coord] - half_span)
-        b = min(ln_hi, point[coord] + half_span)
-        t = _golden_max(fun, a, b)
-        val = fun(t)
-        if val > best:
-            best = val
-            point[coord] = t
-    rec = compare_at(p, q, *map(math.exp, point))
-    return origin if sign * rec.gap < abs(origin.gap) else rec
+        a = np.maximum(ln_lo, point[coord] - half_span)
+        b = np.minimum(ln_hi, point[coord] + half_span)
+        c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+        fc, fd = fun(coord, c), fun(coord, d)
+        for _ in range(20):
+            left = fc >= fd
+            a, b = np.where(left, a, c), np.where(left, d, b)
+            probe = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+            f = fun(coord, probe)
+            c, d = np.where(left, probe, d), np.where(left, c, probe)
+            fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+        t = np.where(fc >= fd, c, d)
+        val = fun(coord, t)
+        point[coord] = np.where(val > best, t, point[coord])
+        best = np.where(val > best, val, best)
+    cols = columns(point)
+    recs = (_record(p, q, cols, 0), _record(p, q, cols, 1))
+    return tuple(o if s * r.gap < abs(o.gap) else r for o, s, r in zip(origins, signs, recs))
 
 
 def find_counterexamples(params, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
@@ -465,10 +462,7 @@ def find_counterexamples(params, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
             f"no significant {' or '.join(missing)} gap found for "
             f"(p={params.p}, q={params.q}) within budget {budget}"
         )
-    return CounterexamplePair(
-        violates_convexity=_refine(params.p, params.q, part.top[0], +1.0),
-        violates_concavity=_refine(params.p, params.q, part.bottom[0], -1.0),
-    )
+    return CounterexamplePair(*_refine(params.p, params.q, (part.top[0], part.bottom[0])))
 
 
 # --------------------------------------------------------------------------

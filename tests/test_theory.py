@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -253,7 +254,7 @@ def test_classify_fixtures(p, q, expected):
 def test_classify_boundary_inclusivity():
     assert classify(-1.0, -1.0) is CONVEX  # q = p on the p <= -1 edge
     assert classify(2.0, 2.0) is CONCAVE  # q = p on the p >= 0 edge
-    assert classify(-0.5, c_of_p(-0.5)) is CONVEX  # q = C(p)
+    assert classify(-0.0625, 0.5) is CONVEX  # q = C(p), exactly: 1 - 2 * sqrt(1/16) = 1/2
     assert classify(0.0, 1.0) is CONVEX  # q = C(0)
     assert classify(0.0, 0.0) is CONCAVE
 
@@ -281,10 +282,18 @@ _C_NEAR_MINUS_ONE = c_of_p(_up(-1.0))
         (2.0, _down(2.0), CONCAVE),
         (2.0, 2.0, CONCAVE),
         (2.0, _up(2.0), NEITHER),
-        # q = C(p) inside -1 < p < 0.
+        # q = C(p) inside -1 < p < 0.  C(-1/16) = 1/2 is a double; C(-1/2) =
+        # 1 - sqrt(2) is not, and the rounded _C_HALF and the double above it
+        # both lie below it, so the first convex double is two above _C_HALF.
+        (-0.0625, _down(0.5), NEITHER),
+        (-0.0625, 0.5, CONVEX),
+        (-0.0625, _up(0.5), CONVEX),
+        (_up(-0.0625), 0.5, NEITHER),
+        (_down(-0.0625), 0.5, CONVEX),
         (-0.5, _down(_C_HALF), NEITHER),
-        (-0.5, _C_HALF, CONVEX),
-        (-0.5, _up(_C_HALF), CONVEX),
+        (-0.5, _C_HALF, NEITHER),
+        (-0.5, _up(_C_HALF), NEITHER),
+        (-0.5, _up(_up(_C_HALF)), CONVEX),
         # p = -1, where C(p) = p, and one ulp either side of it.
         (-1.0, _down(-1.0), NEITHER),
         (-1.0, -1.0, CONVEX),
@@ -311,6 +320,22 @@ def test_classify_one_ulp_either_side_of_each_boundary(p, q, expected):
     assert classify(p, q) is expected
 
 
+def test_classify_matches_mpmath_near_the_curve():
+    # q within 3 ulp of the rounded c_of_p(p), against 60-digit q >= 1 - 2*sqrt(-p).
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20250825)
+    with mpmath.workdps(60):
+        for p in rng.uniform(-1.0, 0.0, 5_000):
+            p = float(p)
+            curve = 1 - 2 * mpmath.sqrt(-mpmath.mpf(p))
+            q = c_of_p(p)
+            for _ in range(3):
+                q = _down(q)
+            for _ in range(7):
+                assert (classify(p, q) is CONVEX) == (mpmath.mpf(q) >= curve), (p, q)
+                q = _up(q)
+
+
 def test_classify_seam_at_minus_one():
     for q in (-2.0, -1.1, -0.9, -0.5, 0.0, 1.0):
         assert classify(-1.0 - 1e-9, q) is classify(-1.0 + 1e-9, q)
@@ -325,7 +350,9 @@ def test_classify_rejects_non_finite():
 
 
 def _convex_pred(p, q):
-    return (p <= -1.0 and q >= p) or (-1.0 < p <= 0.0 and q >= c_of_p(p))
+    # q >= 1 - 2*sqrt(-p) in exact rationals: q >= 1 or (1 - q)**2 <= -4p.
+    on_or_above = q >= 1.0 or (1 - Fraction(q)) ** 2 <= -4 * Fraction(p)
+    return (p <= -1.0 and q >= p) or (-1.0 < p <= 0.0 and on_or_above)
 
 
 def _concave_pred(p, q):

@@ -1,5 +1,6 @@
 """Verifier tests: sampling, region reports, counterexamples, lemma checks."""
 
+import dataclasses
 import json
 import math
 
@@ -17,6 +18,7 @@ from wconvexity.verify import (
     NEITHER_FIXTURES,
     SAMPLE_DOMAIN,
     ComparisonRecord,
+    CounterexamplePair,
     SearchExhaustedError,
     _WORST_KEPT,
     _Part,
@@ -221,6 +223,12 @@ def test_w0_calls_per_chunk(monkeypatch, chunk, n, chunks):
     calls.clear()
     compare_at(-0.5, -1.0, 2.0, 3.0)
     assert calls == [3]
+    calls.clear()
+    points, real_compare_at = [], verify.compare_at
+    monkeypatch.setattr(verify, "compare_at", lambda *a: points.append(a) or real_compare_at(*a))
+    find_counterexamples(HpqParams(-0.5, -1.0), n, 42)
+    assert len(calls) == 3 * chunks + 48  # the scan, then one call per lockstep step
+    assert points == []
 
 
 @pytest.mark.parametrize(
@@ -369,6 +377,80 @@ def test_find_counterexamples_fixtures(p, q):
     assert neg.gap < -significance_threshold(neg.lhs, neg.rhs)
     assert pos.gap == pos.lhs - pos.rhs
     assert neg.gap == neg.lhs - neg.rhs
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max_reference(fun, a, b):
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(20):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = fun(d)
+    return c if fc >= fd else d
+
+
+def _refine_reference(p, q, origin, sign):
+    # One direction on its own, one scalar compare_at per evaluation.
+    ln_lo, ln_hi = (math.log(v) for v in SAMPLE_DOMAIN)
+    half_span = 0.5 * math.log(10.0)
+
+    def signed_gap(point):
+        return sign * compare_at(p, q, math.exp(point[0]), math.exp(point[1])).gap
+
+    point = [math.log(origin.x), math.log(origin.y)]
+    best = signed_gap(point)
+    for coord in (0, 1):
+
+        def fun(t):
+            return signed_gap([t, point[1]] if coord == 0 else [point[0], t])
+
+        lo, hi = max(ln_lo, point[coord] - half_span), min(ln_hi, point[coord] + half_span)
+        t = _golden_max_reference(fun, lo, hi)
+        val = fun(t)
+        if val > best:
+            best, point[coord] = val, t
+    rec = compare_at(p, q, math.exp(point[0]), math.exp(point[1]))
+    return origin if sign * rec.gap < abs(origin.gap) else rec
+
+
+def _scan_extremes(p, q, budget, seed):
+    (part,) = verify._scan((p,), (q,), budget, seed)
+    return part.top[0], part.bottom[0]
+
+
+@pytest.mark.parametrize("seed", [42, 7, 20250825])
+@pytest.mark.parametrize("p,q", NEITHER_FIXTURES)
+def test_lockstep_search_equals_scalar_search(p, q, seed):
+    top, bottom = _scan_extremes(p, q, 5_000, seed)
+    expected = CounterexamplePair(
+        _refine_reference(p, q, top, +1.0), _refine_reference(p, q, bottom, -1.0)
+    )
+    assert find_counterexamples(HpqParams(p, q), 5_000, seed) == expected
+
+
+@pytest.mark.parametrize("kept", [0, 1])
+def test_lockstep_search_falls_back_per_direction(kept):
+    # No polished point reaches a |gap| of 1e300, so that direction keeps its
+    # origin record while the other one is still polished.
+    p, q = -0.5, -1.0
+    origins = list(_scan_extremes(p, q, 5_000, 42))
+    origins[kept] = dataclasses.replace(origins[kept], gap=(1e300, -1e300)[kept])
+    got = verify._refine(p, q, tuple(origins))
+    assert got[kept] is origins[kept]
+    assert got[1 - kept] != origins[1 - kept]
+    assert got == (
+        _refine_reference(p, q, origins[0], +1.0),
+        _refine_reference(p, q, origins[1], -1.0),
+    )
 
 
 def test_find_counterexamples_deterministic():
