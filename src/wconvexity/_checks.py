@@ -16,6 +16,15 @@ def finite(value, name):
     return value
 
 
+def integer(value, name, lo, hi=math.inf):
+    """value as an int in [lo, hi); ValueError unless a whole number (Python or NumPy) in range."""
+    if not isinstance(value, (int, np.integer)) and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer")
+    if not lo <= int(value) < hi:
+        raise ValueError(f"{name} must be >= {lo}" + (f" and < {hi}" if hi < math.inf else ""))
+    return int(value)
+
+
 def positive(value, name, allow_zero=False):
     """value as a float64 array; ValueError unless finite and > 0 (>= 0 with allow_zero)."""
     arr = np.asarray(value, dtype=np.float64)

@@ -2,14 +2,15 @@
 
 The kernel refines a piecewise initial guess with six Halley steps on the
 defining residual w * e**w - z, then returns whichever of the result and its
-two neighbouring doubles minimises that residual.  No step looks at other
-elements, so w0 is elementwise: a value never depends on its batch.  This
-keeps |w0(z) * e**w0(z) - z| within 2e-15 * max(z, 1) across the verified
-envelope [0, 1e9], bar rare z in [1e8, 1e9] where the polish keeps a
-neighbour of the best double (up to 1.008 times the bound); the w >= 16 band
-nearly exhausts that budget because the spacing of representable w values
-alone contributes ~1.9e-15 * z.  Past z ~ 2.5e15 (w >= 32) double spacing
-exceeds the envelope and accuracy degrades gracefully to ~1 ulp of w.
+two neighbouring doubles minimises that residual, choosing by strict < in the
+order w, lower, upper.  No step looks at other elements, so w0 is elementwise:
+a value never depends on its batch.  This keeps |w0(z) * e**w0(z) - z| within
+2e-15 * max(z, 1) across the verified envelope [0, 1e9], bar rare z in
+[1e8, 1e9] where the polish keeps a neighbour of the best double (up to 1.008
+times the bound); the w >= 16 band nearly exhausts that budget because the
+spacing of representable w values alone contributes ~1.9e-15 * z.  Past
+z ~ 2.5e15 (w >= 32) double spacing exceeds the envelope and accuracy degrades
+gracefully to ~1 ulp of w.
 
 All functions are pure and reentrant; they accept scalars or arrays and
 return matching shapes.
@@ -53,7 +54,7 @@ def _initial_guess(z):
         out = np.where(mid, 1.0 + frac * (_GUESS_AT_E_SQ - 1.0), out)
     big = z >= _E_SQ
     if np.any(big):
-        lz = np.log(np.where(big, z, _E_SQ))
+        lz = np.log(np.maximum(z, _E_SQ))
         llz = np.log(lz)
         out = np.where(big, lz - llz + llz / lz, out)
     return out
@@ -61,33 +62,41 @@ def _initial_guess(z):
 
 def _halley(z, w):
     # Halley iteration for f(w) = w*e**w - z; cubic convergence from the
-    # guesses above.  A fixed count, so no element waits on another.
+    # guesses above.  A fixed count, so no element waits on another.  Steps
+    # update a copy of w in one (4, n) block; under glibc, freeing that block
+    # keeps later batch-sized temporaries on the heap, not faulted in anew.
     near_max = z.max(initial=0.0) > _OVERFLOW_FREE
+    w = w.copy()
+    ew, f, wp1, t = np.empty((4, w.size))
     for _ in range(_STEPS):
-        ew = np.exp(w)
-        f = w * ew - z
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        step = f / denom
+        np.multiply(w, np.exp(w, out=ew), out=f)
+        f -= z
+        np.add(w, 1.0, out=wp1)
+        np.multiply(np.add(w, 2.0, out=t), f, out=t)
+        t /= 2.0 * wp1
+        denom = np.multiply(ew, wp1, out=ew)
+        denom -= t
+        step = np.divide(f, denom, out=f)
         if near_max:
             # Where e**w * (w + 1) overflows, take the same step divided
             # through by e**w.  Only there: elsewhere it rounds differently.
             fs = w - z * np.exp(-w)
             scaled = fs / (wp1 - (w + 2.0) * fs / (2.0 * wp1))
             step = np.where(np.isfinite(denom), step, scaled)
-        w = w - step
+        w -= step
     if not np.all(np.abs(step) <= _CONVERGED_REL * np.abs(w) + 5e-324):
         raise RuntimeError("Halley iteration for w0 did not converge")
     return w
 
 
 def _polish(z, w):
-    # Scan w and its two neighbouring doubles, keep the smallest residual:
-    # the final iterate is within one double of the best one.  Ordering
-    # puts w first so exact solutions (e.g. z = 0) survive ties.
-    cand = np.stack((w, np.nextafter(w, -np.inf), np.nextafter(w, np.inf)))
-    resid = np.abs(cand * np.exp(cand) - z)
-    return cand[resid.argmin(axis=0), np.arange(w.size)]
+    # The final iterate is within one double of the best one: keep the least
+    # residual of w and its neighbours by strict < in the order w, lower,
+    # upper, so a tie keeps the earlier and exact solutions (z = 0) survive.
+    lo, hi = np.nextafter(w, -np.inf), np.nextafter(w, np.inf)
+    best, r_lo = np.abs(w * np.exp(w) - z), np.abs(lo * np.exp(lo) - z)
+    w, best = np.where(r_lo < best, lo, w), np.minimum(r_lo, best)
+    return np.where(np.abs(hi * np.exp(hi) - z) < best, hi, w)
 
 
 def w0(z):

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._checks import finite
+from ._checks import finite, integer
 from .lambert import w0
 from .means import holder_mean, quartic_harmonic_form
 from .theory import ConvexityClass, HpqParams, _ln_g, c_of_p, classify, h_p
@@ -120,13 +120,6 @@ _SM_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_ONE = np.uint64(1)
 
 
-def _check_seed(seed):
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must be a 64-bit unsigned integer")
-    return seed
-
-
 def _splitmix64(seed, positions):
     z = np.uint64(seed) + (positions + _U64_ONE) * _SM_GAMMA
     z = (z ^ (z >> np.uint64(30))) * _SM_MIX1
@@ -145,9 +138,8 @@ def sample_pairs(seed, start, count):
     Log-uniform over SAMPLE_DOMAIN per coordinate; depends only on
     (seed, sample index), never on how the index space is chunked.
     """
-    seed = _check_seed(seed)
-    if start < 0 or count < 0:
-        raise ValueError("start and count must be >= 0")
+    seed = integer(seed, "seed", 0, 2**64)
+    start, count = integer(start, "start", 0), integer(count, "count", 0)
     idx = np.arange(start, start + count, dtype=np.uint64)
     lo, hi = SAMPLE_DOMAIN
     ln_lo, ln_hi = math.log(lo), math.log(hi)
@@ -317,10 +309,7 @@ def _merge_parts(a, b):
 
 def _scan_args(n, seed, name):
     # Shared argument checks of every caller of _scan.
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1")
-    return n, _check_seed(seed)
+    return integer(n, name, 1), integer(seed, "seed", 0, 2**64)
 
 
 def _scan(ps, qs, n, seed):
@@ -540,9 +529,7 @@ def _shape_holds(expected, rises, falls):
 
 
 def _lemma_grid(grid_size):
-    grid_size = int(grid_size)
-    if grid_size < 3:
-        raise ValueError("grid_size must be >= 3")
+    grid_size = integer(grid_size, "grid_size", 3)
     lo, hi = _LEMMA_DOMAIN
     return np.logspace(math.log10(lo), math.log10(hi), grid_size)
 

@@ -146,6 +146,102 @@ def test_w0_prime_finite_difference_on_grid():
     assert np.max(np.abs(fd - d) / np.abs(d)) <= 1e-6
 
 
+# The w0 stages as they were before the Halley steps ran in one block of
+# temporaries and the polish became two strict-< selections: a reference
+# that the stages must match bit for bit.
+def _initial_guess_reference(z):
+    out = np.where(z < 1.0, z, 1.0)
+    mid = (z >= 1.0) & (z < lambert._E_SQ)
+    if np.any(mid):
+        frac = (z - 1.0) / (lambert._E_SQ - 1.0)
+        out = np.where(mid, 1.0 + frac * (lambert._GUESS_AT_E_SQ - 1.0), out)
+    big = z >= lambert._E_SQ
+    if np.any(big):
+        lz = np.log(np.where(big, z, lambert._E_SQ))
+        llz = np.log(lz)
+        out = np.where(big, lz - llz + llz / lz, out)
+    return out
+
+
+def _halley_reference(z, w):
+    near_max = z.max(initial=0.0) > lambert._OVERFLOW_FREE
+    for _ in range(lambert._STEPS):
+        ew = np.exp(w)
+        f = w * ew - z
+        wp1 = w + 1.0
+        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+        step = f / denom
+        if near_max:
+            fs = w - z * np.exp(-w)
+            scaled = fs / (wp1 - (w + 2.0) * fs / (2.0 * wp1))
+            step = np.where(np.isfinite(denom), step, scaled)
+        w = w - step
+    return w
+
+
+def _polish_reference(z, w):
+    # Stack the candidates (w, lower, upper); argmin takes the first minimum.
+    cand = np.stack((w, np.nextafter(w, -np.inf), np.nextafter(w, np.inf)))
+    resid = np.abs(cand * np.exp(cand) - z)
+    return cand[resid.argmin(axis=0), np.arange(w.size)]
+
+
+_MAX = np.finfo(np.float64).max
+
+
+def _stage_inputs():
+    # Zero, subnormals, the whole double range, the band where the Halley
+    # step is taken divided through by e**w, the three z of the strict xfail
+    # below, and seeded sample coordinates, where many candidate residuals tie.
+    return np.concatenate(
+        [
+            [0.0, 5e-324],
+            np.logspace(-323.3, math.log10(np.finfo(np.float64).tiny), 2_001),
+            np.logspace(-323.0, 308.0, 200_001),
+            np.linspace(1.79e308, _MAX, 10_001),
+            [319546262.72009826, 591520704.7808926, 696523696.5253279, _MAX],
+            *sample_pairs(42, 0, 250_000),
+            *sample_pairs(7, 0, 50_000),
+        ]
+    )
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_stages_are_bit_identical_to_the_references():
+    z = _stage_inputs()
+    guess = lambert._initial_guess(z)
+    assert _same_bits(guess, _initial_guess_reference(z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = lambert._halley(z, guess)
+        assert _same_bits(guess, _initial_guess_reference(z))  # the guess is not updated in place
+        assert _same_bits(w, _halley_reference(z, guess))
+        assert _same_bits(lambert._polish(z, w), _polish_reference(z, w))
+
+
+def test_polish_ties_keep_the_earlier_candidate():
+    # Among the seed-42 coordinates, thousands of Halley results have a
+    # neighbour whose residual equals the best one; taking the later
+    # candidate on a tie (<= for <) changes those.
+    z = np.concatenate(sample_pairs(42, 0, 250_000))
+    w = lambert._halley(z, lambert._initial_guess(z))
+    resid = [np.abs(c * np.exp(c) - z) for c in (w, np.nextafter(w, -np.inf), np.nextafter(w, np.inf))]
+    best = np.minimum.reduce(resid)
+    tied = sum(r == best for r in resid) >= 2
+    assert np.count_nonzero(tied) > 1_000
+    assert _same_bits(lambert._polish(z, w), _polish_reference(z, w))
+
+
+def test_polish_keeps_w_when_every_residual_is_infinite():
+    z, w = np.array([_MAX]), np.array([706.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isinf(w * np.exp(w) - z).all()
+        assert _same_bits(lambert._polish(z, w), w)
+        assert _same_bits(_polish_reference(z, w), w)
+
+
 @pytest.mark.xfail(
     reason="_polish ranks neighbouring doubles by a float residual whose rounding "
     "exceeds the gap between them; the correctly rounded W is within 0.88 of the bound",

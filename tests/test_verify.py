@@ -80,6 +80,50 @@ def test_sample_pairs_rejects_negative_range(start, count):
         sample_pairs(42, start, count)
 
 
+@pytest.mark.parametrize("seed,start,count", [(7.8, 0, 3), (1, 0.5, 3), (1, 0, 2.5), (1, 0, math.nan)])
+def test_sample_pairs_rejects_non_integral_arguments(seed, start, count):
+    with pytest.raises(ValueError):
+        sample_pairs(seed, start, count)
+
+
+def test_integral_arguments_of_any_integer_type_are_accepted():
+    x, y = sample_pairs(7, 0, 5)
+    for seed, start, count in [(np.uint64(7), np.int64(0), np.int32(5)), (7.0, 0.0, 5.0)]:
+        xs, ys = sample_pairs(seed, start, count)
+        assert np.array_equal(xs, x) and np.array_equal(ys, y)
+    report = verify_region((2.0, 1.0), np.int64(100), np.uint64(7))
+    assert report.to_json() == verify_region((2.0, 1.0), 100, 7).to_json()
+    assert type(report.n_samples) is int and type(report.seed) is int
+
+
+def _mass_above(r):
+    # The log-uniform share of SAMPLE_DOMAIN above radius r.
+    lo, hi = SAMPLE_DOMAIN
+    return math.log(hi / r) / math.log(hi / lo)
+
+
+def test_sample_domain_clears_every_turning_radius():
+    # With u = W(r) + 1, q - h_p(r) = Q(u) / u for Q(u) = -p u**2 + (q - 1) u + 1,
+    # so g_pq turns at the roots u* > 1 of Q, at radius r* = (u* - 1) e**(u* - 1).
+    radii = {}
+    for p in GRID_AXIS:
+        for q in GRID_AXIS:
+            if classify(p, q) is not NEITHER:
+                continue
+            roots = np.roots([-p, q - 1.0, 1.0])
+            u = roots.real[(roots.imag == 0.0) & (roots.real > 1.0)]
+            assert u.size >= 1, (p, q)
+            radii[p, q] = max((u - 1.0) * np.exp(u - 1.0))
+    lo, hi = SAMPLE_DOMAIN
+    assert all(lo < r < hi for r in radii.values())
+    widest = max(radii, key=radii.get)
+    assert widest == (-0.1, -3.0)
+    assert radii[widest] == pytest.approx(2.61e18, rel=1e-3)
+    # At least 10% of each coordinate's mass lies beyond the widest radius.
+    assert _mass_above(radii[widest]) >= 0.10
+    assert _mass_above(radii[widest]) == pytest.approx(0.128, abs=1e-3)
+
+
 # ---------------------------------------------------------------- compare_at
 
 
@@ -297,6 +341,24 @@ def test_verify_region_validates_arguments():
         verify_region(HpqParams(1.0, 1.0), 0, 42)
     with pytest.raises(ValueError):
         verify_region(HpqParams(1.0, 1.0), 100, -5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_region((2.0, 1.0), n_samples=100.9, seed=7),
+        lambda: verify_region((2.0, 1.0), n_samples=100, seed=7.8),
+        lambda: find_counterexamples((-0.5, -1.0), budget=1_000.5, seed=42),
+        lambda: find_counterexamples((-0.5, -1.0), budget=1_000, seed=42.5),
+        lambda: check_h_lemma(1.0, 100.5),
+        lambda: check_g_lemma(1.0, 1.0, 100.5),
+    ],
+    ids=["verify-samples", "verify-seed", "search-budget", "search-seed", "h-grid", "g-grid"],
+)
+def test_non_integral_counts_and_seeds_raise(call):
+    # These used to be truncated silently: 100.9 samples ran 100, seed 7.8 ran seed 7.
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
 
 
 # ---------------------------------------------------------------- strictness
