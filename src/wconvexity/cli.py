@@ -8,27 +8,17 @@ passed after a ``--`` separator, e.g. ``wconvexity classify -- -1 -1``.
 import argparse
 import sys
 
-import numpy as np
-
 from .lambert import w0
 from .means import holder_mean
 from .raster import build_raster, write_csv, write_svg
-from .theory import ConvexityClass, HpqParams, classify
+from .theory import HpqParams, classify
 from .verify import (
     DEFAULT_BUDGET,
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
-    GRID_AXIS,
-    G_LEMMA_FIXTURES,
-    H_LEMMA_FIXTURES,
-    NEITHER_FIXTURES,
     SearchExhaustedError,
-    _verify_grid,
-    check_chain,
-    check_g_lemma,
-    check_h_lemma,
+    _selftest_checks,
     find_counterexamples,
-    sample_pairs,
     verify_region,
 )
 
@@ -44,6 +34,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate W or a power mean")
+    p_eval.set_defaults(handler=_cmd_eval)
     eval_sub = p_eval.add_subparsers(dest="what", required=True)
     p_w = eval_sub.add_parser("w", help="print W(z)")
     p_w.add_argument("z", type=float)
@@ -53,10 +44,12 @@ def build_parser():
     p_mean.add_argument("s", type=float)
 
     p_classify = sub.add_parser("classify", help="print convex/concave/neither for (p, q)")
+    p_classify.set_defaults(handler=_cmd_classify)
     p_classify.add_argument("p", type=float)
     p_classify.add_argument("q", type=float)
 
     p_verify = sub.add_parser("verify", help="randomized region check for (p, q)")
+    p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("p", type=float)
     p_verify.add_argument("q", type=float)
     p_verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
@@ -64,12 +57,14 @@ def build_parser():
     p_verify.add_argument("--json", dest="json_path", metavar="PATH", default=None)
 
     p_ce = sub.add_parser("counterexample", help="find both violation directions")
+    p_ce.set_defaults(handler=_cmd_counterexample)
     p_ce.add_argument("p", type=float)
     p_ce.add_argument("q", type=float)
     p_ce.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_ce.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_raster = sub.add_parser("raster", help="write the region map as CSV (and SVG)")
+    p_raster.set_defaults(handler=_cmd_raster)
     p_raster.add_argument(
         "--window",
         nargs=4,
@@ -82,6 +77,7 @@ def build_parser():
     p_raster.add_argument("--svg", dest="svg_path", metavar="PATH", default=None)
 
     p_self = sub.add_parser("selftest", help="run the full fixture suite")
+    p_self.set_defaults(handler=_cmd_selftest)
     p_self.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p_self.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_self.add_argument(
@@ -144,47 +140,6 @@ def _cmd_raster(args):
     return 0
 
 
-def _selftest_checks(samples, seed, inject_fault):
-    for p in H_LEMMA_FIXTURES:
-        res = check_h_lemma(p)
-        yield res.passed, f"h-lemma p={p:g} ({res.expected}: {res.rises} up / {res.falls} down)"
-    for p, q in G_LEMMA_FIXTURES:
-        res = check_g_lemma(p, q)
-        yield res.passed, f"g-lemma p={p:g} q={q:g} ({res.expected}: {res.rises} up / {res.falls} down)"
-    overrides = {(1.0, 1.0): ConvexityClass.STRICTLY_CONVEX} if inject_fault else {}
-    for report in _verify_grid(GRID_AXIS, GRID_AXIS, samples, seed, overrides):
-        yield (
-            report.verdict == "pass",
-            f"region p={report.params.p:g} q={report.params.q:g} ({report.expected.value}: "
-            f"{report.n_gap_positive} pos / {report.n_gap_negative} neg)",
-        )
-    budget = max(10 * samples, 1)
-    for p, q in NEITHER_FIXTURES:
-        try:
-            pair = find_counterexamples(HpqParams(p, q), budget, seed)
-        except SearchExhaustedError as exc:
-            yield False, f"counterexample p={p:g} q={q:g} ({exc})"
-        else:
-            ok = (
-                pair.violates_convexity.gap > 0.0
-                and pair.violates_concavity.gap < 0.0
-            )
-            yield ok, (
-                f"counterexample p={p:g} q={q:g} "
-                f"(gap +{pair.violates_convexity.gap:.3e} / "
-                f"{pair.violates_concavity.gap:.3e})"
-            )
-    n_chain = min(samples, 10_000)
-    x, y = sample_pairs(seed, 0, n_chain)
-    a, b, c, d = check_chain(x, y)
-    tol = 1e-13 * np.maximum(1.0, d)
-    ok = bool(np.all(a <= b + tol) and np.all(b <= c + tol) and np.all(c <= d + tol))
-    yield ok, f"chain ordering on {n_chain} samples"
-    eq = check_chain(3.0, 3.0)
-    ok_eq = max(eq) - min(eq) <= 1e-13 * max(1.0, max(eq))
-    yield ok_eq, "chain equality on the diagonal"
-
-
 def _cmd_selftest(args):
     failures = 0
     for ok, label in _selftest_checks(args.samples, args.seed, args.inject_fault):
@@ -193,16 +148,6 @@ def _cmd_selftest(args):
             failures += 1
     print(f"selftest: {failures} failure(s)")
     return 0 if failures == 0 else 1
-
-
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "classify": _cmd_classify,
-    "verify": _cmd_verify,
-    "counterexample": _cmd_counterexample,
-    "raster": _cmd_raster,
-    "selftest": _cmd_selftest,
-}
 
 
 def run(argv):
@@ -214,7 +159,7 @@ def run(argv):
         # argparse exits 0 for --help and 2 for usage errors.
         return 0 if exc.code in (0, None) else 2
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except SearchExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -39,9 +39,9 @@ def holder_mean(p, r, s):
     r and s must be positive and finite (scalars or arrays).
     """
     p = finite(p, "order p")
-    rr, ss = np.broadcast_arrays(positive(r, "r"), positive(s, "s"))
-    rr = np.atleast_1d(rr).astype(np.float64)
-    ss = np.atleast_1d(ss).astype(np.float64)
+    # Contiguous because NumPy's power can round strided input differently;
+    # contiguous arguments are used as they are, without a copy.
+    rr, ss = map(np.ascontiguousarray, np.broadcast_arrays(positive(r, "r"), positive(s, "s")))
 
     if p == 0.0:
         out = _geometric(rr, ss)

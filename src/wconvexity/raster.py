@@ -74,7 +74,7 @@ def write_csv(raster, path):
         handle.write("\n".join(lines) + "\n")
 
 
-def _make_scales(raster):
+def write_svg(raster, path):
     half = raster.step / 2.0
     x_lo, x_hi = raster.p_min - half, raster.p_max + half
     y_lo, y_hi = raster.q_min - half, raster.q_max + half
@@ -87,12 +87,6 @@ def _make_scales(raster):
     def sy(q):
         return _MARGIN_T + (y_hi - q) / (y_hi - y_lo) * plot_h
 
-    return sx, sy, (x_lo, x_hi, y_lo, y_hi)
-
-
-def write_svg(raster, path):
-    sx, sy, (x_lo, x_hi, y_lo, y_hi) = _make_scales(raster)
-    half = raster.step / 2.0
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
         f'viewBox="0 0 {_SIZE} {_SIZE}">',

@@ -101,6 +101,51 @@ CASE_FIXTURES = (
 )
 
 
+def _selftest_checks(samples, seed, inject_fault):
+    """Yield (passed, label) for each selftest check of the fixtures above.
+
+    inject_fault flips the (1, 1) region expectation, so the run must fail.
+    """
+    for p in H_LEMMA_FIXTURES:
+        res = check_h_lemma(p)
+        yield res.passed, f"h-lemma p={p:g} ({res.expected}: {res.rises} up / {res.falls} down)"
+    for p, q in G_LEMMA_FIXTURES:
+        res = check_g_lemma(p, q)
+        yield res.passed, f"g-lemma p={p:g} q={q:g} ({res.expected}: {res.rises} up / {res.falls} down)"
+    overrides = {(1.0, 1.0): ConvexityClass.STRICTLY_CONVEX} if inject_fault else {}
+    for report in _verify_grid(GRID_AXIS, GRID_AXIS, samples, seed, overrides):
+        yield (
+            report.verdict == "pass",
+            f"region p={report.params.p:g} q={report.params.q:g} ({report.expected.value}: "
+            f"{report.n_gap_positive} pos / {report.n_gap_negative} neg)",
+        )
+    budget = max(10 * samples, 1)
+    for p, q in NEITHER_FIXTURES:
+        try:
+            pair = find_counterexamples(HpqParams(p, q), budget, seed)
+        except SearchExhaustedError as exc:
+            yield False, f"counterexample p={p:g} q={q:g} ({exc})"
+        else:
+            ok = (
+                pair.violates_convexity.gap > 0.0
+                and pair.violates_concavity.gap < 0.0
+            )
+            yield ok, (
+                f"counterexample p={p:g} q={q:g} "
+                f"(gap +{pair.violates_convexity.gap:.3e} / "
+                f"{pair.violates_concavity.gap:.3e})"
+            )
+    n_chain = min(samples, 10_000)
+    x, y = sample_pairs(seed, 0, n_chain)
+    a, b, c, d = check_chain(x, y)
+    tol = 1e-13 * np.maximum(1.0, d)
+    ok = bool(np.all(a <= b + tol) and np.all(b <= c + tol) and np.all(c <= d + tol))
+    yield ok, f"chain ordering on {n_chain} samples"
+    eq = check_chain(3.0, 3.0)
+    ok_eq = max(eq) - min(eq) <= 1e-13 * max(1.0, max(eq))
+    yield ok_eq, "chain equality on the diagonal"
+
+
 class SearchExhaustedError(RuntimeError):
     """Counterexample search used its whole budget without both directions."""
 
@@ -483,10 +528,15 @@ def check_chain(x, y):
 
 
 @dataclass(frozen=True)
-class HLemmaCheck:
-    """Grid verdict on the monotonicity / interior maximum of h_p."""
+class LemmaCheck:
+    """Grid verdict on the shape of h_p (q is None) or of ln g_pq.
+
+    grid_max, at grid_argmax, is the largest checked value; passed needs
+    the expected shape and grid_max <= max_bound.
+    """
 
     p: float
+    q: float | None
     grid_size: int
     expected: str
     rises: int
@@ -497,35 +547,34 @@ class HLemmaCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class GLemmaCheck:
-    """Grid verdict on the monotonicity of g_pq."""
-
-    p: float
-    q: float
-    grid_size: int
-    expected: str
-    rises: int
-    falls: int
-    passed: bool
-
-
-def _count_steps(values):
+def _lemma_check(p, q, r, values, expected, bound=math.inf):
     # Steps below the tie threshold are rounding noise, not monotonicity
     # evidence: near flat stretches adjacent values can round identically.
     diffs = np.diff(values)
     tau = _STEP_SIGNIFICANCE * np.maximum(
         1.0, np.maximum(np.abs(values[:-1]), np.abs(values[1:]))
     )
-    return int(np.sum(diffs > tau)), int(np.sum(diffs < -tau))
-
-
-def _shape_holds(expected, rises, falls):
+    rises, falls = int(np.sum(diffs > tau)), int(np.sum(diffs < -tau))
     if expected == "increasing":
-        return rises > 0 and falls == 0
-    if expected == "decreasing":
-        return falls > 0 and rises == 0
-    return rises > 0 and falls > 0
+        shape = rises > 0 and falls == 0
+    elif expected == "decreasing":
+        shape = falls > 0 and rises == 0
+    else:
+        shape = rises > 0 and falls > 0
+    i_max = int(np.argmax(values))
+    grid_max = float(values[i_max])
+    return LemmaCheck(
+        p=p,
+        q=q,
+        grid_size=r.size,
+        expected=expected,
+        rises=rises,
+        falls=falls,
+        grid_max=grid_max,
+        grid_argmax=float(r[i_max]),
+        max_bound=bound,
+        passed=shape and grid_max <= bound,
+    )
 
 
 def _lemma_grid(grid_size):
@@ -543,26 +592,11 @@ def check_h_lemma(p, grid_size=10_000):
     p = float(p)
     r = _lemma_grid(grid_size)
     values = np.asarray(h_p(p, r))
-    rises, falls = _count_steps(values)
-    i_max = int(np.argmax(values))
-    grid_max = float(values[i_max])
     if p >= 0.0:
-        expected, bound = "increasing", math.inf
-    elif p <= -1.0:
-        expected, bound = "decreasing", math.inf
-    else:
-        expected, bound = "interior-max", c_of_p(p) + 1e-8
-    return HLemmaCheck(
-        p=p,
-        grid_size=int(grid_size),
-        expected=expected,
-        rises=rises,
-        falls=falls,
-        grid_max=grid_max,
-        grid_argmax=float(r[i_max]),
-        max_bound=bound,
-        passed=_shape_holds(expected, rises, falls) and grid_max <= bound,
-    )
+        return _lemma_check(p, None, r, values, "increasing")
+    if p <= -1.0:
+        return _lemma_check(p, None, r, values, "decreasing")
+    return _lemma_check(p, None, r, values, "interior-max", c_of_p(p) + 1e-8)
 
 
 # g_pq increases exactly where W is convex for (p, q), decreases exactly
@@ -583,14 +617,5 @@ def check_g_lemma(p, q, grid_size=10_000):
     p = float(p)
     q = float(q)
     r = _lemma_grid(grid_size)
-    rises, falls = _count_steps(_ln_g(p, q, r, np.asarray(w0(r)))[2])
-    expected = _G_SHAPE[classify(p, q)]
-    return GLemmaCheck(
-        p=p,
-        q=q,
-        grid_size=int(grid_size),
-        expected=expected,
-        rises=rises,
-        falls=falls,
-        passed=_shape_holds(expected, rises, falls),
-    )
+    ln_g = _ln_g(p, q, r, np.asarray(w0(r)))[2]
+    return _lemma_check(p, q, r, ln_g, _G_SHAPE[classify(p, q)])

@@ -1,5 +1,6 @@
 """CLI tests: subcommand grammar, exit codes, file outputs, public names."""
 
+import hashlib
 import json
 
 import pytest
@@ -159,6 +160,24 @@ def test_selftest_injected_fault_fails(capsys):
     )
     assert code == 1
     assert "FAIL region p=1 q=1" in out
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,digest",
+    [
+        ([], 0, "e0f0800ada52876d15f0fbe08e78c4ab2800c6e21d003f651b1f007e88dd199d"),
+        (
+            ["--samples", "1000", "--seed", "5", "--inject-fault"],
+            1,
+            "d8f9095f3867cc82fd0d22dd9e60aba019672f2ec56230386d70b08cf3ed45ae",
+        ),
+    ],
+)
+def test_selftest_output_is_pinned(capsys, argv, exit_code, digest):
+    # sha256 of the whole stdout: every label, count and gap digit is pinned.
+    code, out, _ = invoke(capsys, ["selftest", *argv])
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_package_names_are_the_module_lists():

@@ -592,3 +592,36 @@ def test_check_g_lemma_examples():
 @pytest.mark.parametrize("p,q", G_LEMMA_FIXTURES)
 def test_check_g_lemma_fixtures(p, q):
     assert check_g_lemma(p, q, 10_000).passed
+
+
+def _exact_lemma_clause(p, q=None):
+    # With u = W(r) + 1 > 1: h_p = p u + 1 - 1/u, so h_p' has the sign of
+    # p u**2 + 1, and (ln g_pq)' has the sign of q - h_p = Q(u) / u with
+    # Q(u) = -p u**2 + (q - 1) u + 1.  On u > 1 such a polynomial changes
+    # sign exactly at its real roots u > 1 of odd multiplicity and ends with
+    # the sign of its leading coefficient; sympy decides both exactly.
+    sympy = pytest.importorskip("sympy")
+    p = sympy.Rational(p)
+    coeffs = [p, 0, 1] if q is None else [-p, sympy.Rational(q) - 1, 1]
+    poly = sympy.Poly(coeffs, sympy.Symbol("u"))
+    roots = poly.real_roots()
+    changes = sum(roots.count(u) % 2 for u in set(roots) if u > 1)
+    if changes == 0:
+        return "increasing" if poly.LC() > 0 else "decreasing"
+    if q is not None:
+        return "non-monotone"
+    assert changes == 1 and poly.LC() < 0  # h_p rises, then falls
+    return "interior-max"
+
+
+def test_h_lemma_clauses_are_exact():
+    for p in H_LEMMA_FIXTURES:
+        assert check_h_lemma(p).expected == _exact_lemma_clause(p), p
+
+
+def test_g_lemma_clauses_are_exact():
+    cells = {(p, q) for p in GRID_AXIS for q in GRID_AXIS}
+    cells |= set(G_LEMMA_FIXTURES) | set(NEITHER_FIXTURES)
+    cells |= {(p, q) for p, q, _ in CASE_FIXTURES}
+    for p, q in sorted(cells):
+        assert check_g_lemma(p, q).expected == _exact_lemma_clause(p, q), (p, q)
