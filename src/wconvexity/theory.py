@@ -99,7 +99,8 @@ def g_pq(p, q, r):
     """
     p = finite(p, "p")
     q = finite(q, "q")
-    arr = positive(r, "r")
+    # Contiguous because NumPy's power can round strided input differently.
+    arr = np.ascontiguousarray(positive(r, "r"))
     w = np.asarray(w0(arr))
     a, b, ln_val = _ln_g(p, q, arr, w)
     if np.any(ln_val > _LN_MAX):

@@ -120,16 +120,11 @@ def _selftest_checks(samples, seed, inject_fault):
             f"{report.n_gap_positive} pos / {report.n_gap_negative} neg)",
         )
     budget = max(10 * samples, 1)
-    for p, q in NEITHER_FIXTURES:
-        try:
-            pair = find_counterexamples(HpqParams(p, q), budget, seed)
-        except SearchExhaustedError as exc:
-            yield False, f"counterexample p={p:g} q={q:g} ({exc})"
+    for (p, q), pair in zip(NEITHER_FIXTURES, _counterexamples(NEITHER_FIXTURES, budget, seed)):
+        if isinstance(pair, SearchExhaustedError):
+            yield False, f"counterexample p={p:g} q={q:g} ({pair})"
         else:
-            ok = (
-                pair.violates_convexity.gap > 0.0
-                and pair.violates_concavity.gap < 0.0
-            )
+            ok = pair.violates_convexity.gap > 0.0 > pair.violates_concavity.gap
             yield ok, (
                 f"counterexample p={p:g} q={q:g} "
                 f"(gap +{pair.violates_convexity.gap:.3e} / "
@@ -297,9 +292,10 @@ def _ranked(records, k):
     return tuple(sorted(records, key=lambda rec: -abs(rec.gap))[:k])
 
 
-def _cell_part(p, q, columns):
-    """One cell's _Part from its (x, y, lhs, rhs, gap) columns."""
-    _, _, lhs, rhs, gap = columns
+def _cell_part(p, q, x, y, lhs, rhs):
+    """One cell's _Part from its x, y, lhs and rhs columns."""
+    gap = lhs - rhs
+    columns = (x, y, lhs, rhs, gap)
     tol = significance_threshold(lhs, rhs)
     abs_gap = np.abs(gap)
     positive = gap > tol
@@ -318,23 +314,31 @@ def _cell_part(p, q, columns):
     )
 
 
-def _scan_part(ps, qs, seed, start, count):
-    """Scan samples [start, start+count) into one _Part per cell of ps x qs.
+def _scan_part(cells, seed, start, count):
+    """Scan samples [start, start+count) into one _Part per (p, q) cell.
 
-    Cells come row-major.  W(H_p(x, y)) is taken once per p, W(x) and W(y)
-    once, and H_q(W(x), W(y)) once per q; the cells share these columns.
+    W(H_p(x, y)) is taken once per distinct p, W(x) and W(y) once, and
+    H_q(W(x), W(y)) once per distinct q; the cells share these columns.
+    Each column is made just before its first cell and dropped after its
+    last, W(x) and W(y) once every H_q exists: a 1x1 scan keeps the memory
+    and page faults of one comparison.
     """
     x, y = sample_pairs(seed, start, count)
-    lhs_by_p = [np.asarray(w0(holder_mean(p, x, y))) for p in ps]
-    wx, wy = np.asarray(w0(x)), np.asarray(w0(y))
-    rhs_by_q = [np.asarray(holder_mean(q, wx, wy)) for q in qs]
-    # Freed before the cells: a 1x1 scan keeps the memory and page faults of one comparison.
-    del wx, wy
-    return [
-        _cell_part(p, q, (x, y, lhs, rhs, lhs - rhs))
-        for p, lhs in zip(ps, lhs_by_p)
-        for q, rhs in zip(qs, rhs_by_q)
-    ]
+    last = {key: i for i, cell in enumerate(cells) for key in zip("pq", cell)}
+    todo_q = {q for _, q in cells}
+    columns, w, parts = {}, None, []
+    for i, (p, q) in enumerate(cells):
+        if ("p", p) not in columns:
+            columns["p", p] = np.asarray(w0(holder_mean(p, x, y)))
+        if ("q", q) not in columns:
+            w = w or (np.asarray(w0(x)), np.asarray(w0(y)))
+            columns["q", q] = np.asarray(holder_mean(q, *w))
+            todo_q.discard(q)
+            w = w if todo_q else None
+        parts.append(_cell_part(p, q, x, y, columns["p", p], columns["q", q]))
+        # A dropped column keeps its key, so it is never made again.
+        columns.update((key, None) for key in zip("pq", (p, q)) if last[key] == i)
+    return parts
 
 
 def _merge_parts(a, b):
@@ -357,11 +361,11 @@ def _scan_args(n, seed, name):
     return integer(n, name, 1), integer(seed, "seed", 0, 2**64)
 
 
-def _scan(ps, qs, n, seed):
+def _scan(cells, n, seed):
     # Samples [0, n) in chunks of _CHUNK, merged into one _Part per cell.
     parts = None
     for start in range(0, n, _CHUNK):
-        pieces = _scan_part(ps, qs, seed, start, min(_CHUNK, n - start))
+        pieces = _scan_part(cells, seed, start, min(_CHUNK, n - start))
         parts = pieces if parts is None else list(map(_merge_parts, parts, pieces))
     return parts
 
@@ -395,7 +399,8 @@ def _verify_grid(ps, qs, n_samples, seed, expected):
     override of classify(p, q).
     """
     n_samples, seed = _scan_args(n_samples, seed, "n_samples")
-    for (p, q), part in zip(itertools.product(ps, qs), _scan(ps, qs, n_samples, seed)):
+    cells = tuple(itertools.product(ps, qs))
+    for (p, q), part in zip(cells, _scan(cells, n_samples, seed)):
         cls = expected.get((p, q)) or classify(p, q)
         yield VerificationReport(
             params=HpqParams(p, q),
@@ -426,15 +431,18 @@ class CounterexamplePair:
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _refine(p, q, origins):
-    """Golden-section polish of both scan extremes, (top, bottom), in lockstep.
+def _refine(cells, origins):
+    """Golden-section polish of every cell's scan extremes, all in lockstep.
 
-    Direction i maximises signs[i] * gap, one coordinate at a time; each step
-    evaluates both in one _gap_arrays call and branches by np.where over the
-    same float operations, so each equals its own scalar search bit for bit.
-    A direction keeps its origin when the polish ends below the scan's |gap|.
+    origins holds each cell's (top, bottom) records in turn; direction i
+    maximises signs[i] * gap, one coordinate at a time.  Each step evaluates
+    every direction with one w0 call and one holder_mean call per cell and
+    branches by np.where over the same float operations, so each equals its
+    own scalar search bit for bit.  A direction keeps its origin when the
+    polish ends below the scan's |gap|.
     """
-    signs = np.array([1.0, -1.0])
+    signs = np.tile([1.0, -1.0], len(cells))
+    cell_slices = [slice(i, i + 2) for i in range(0, signs.size, 2)]
     ln_lo, ln_hi = (math.log(v) for v in SAMPLE_DOMAIN)
     half_span = 0.5 * math.log(10.0)
     # Row 0 holds ln x and row 1 ln y, one column per direction.
@@ -443,7 +451,13 @@ def _refine(p, q, origins):
     def columns(logs):
         # math.exp per element: np.exp can differ from it in the last bit.
         x, y = (np.array([math.exp(v) for v in row]) for row in logs)
-        return (x, y, *_gap_arrays(p, q, x, y))
+        # One w0 call over [H_p(x, y) per cell, x, y]; w0 is elementwise.
+        means = [holder_mean(p, x[s], y[s]) for (p, _), s in zip(cells, cell_slices)]
+        lhs, wx, wy = np.asarray(w0(np.concatenate([*means, x, y]))).reshape(3, -1)
+        rhs = np.empty_like(lhs)
+        for (_, q), s in zip(cells, cell_slices):
+            rhs[s] = holder_mean(q, wx[s], wy[s])
+        return x, y, lhs, rhs, lhs - rhs
 
     def fun(coord, t):
         moved = point.copy()
@@ -468,8 +482,31 @@ def _refine(p, q, origins):
         point[coord] = np.where(val > best, t, point[coord])
         best = np.where(val > best, val, best)
     cols = columns(point)
-    recs = (_record(p, q, cols, 0), _record(p, q, cols, 1))
+    recs = (_record(*cells[i // 2], cols, i) for i in range(signs.size))
     return tuple(o if s * r.gap < abs(o.gap) else r for o, s, r in zip(origins, signs, recs))
+
+
+def _counterexamples(cells, budget, seed):
+    """find_counterexamples over checked arguments for many "neither" cells.
+
+    One scan and one _refine serve them all; each cell gets its
+    CounterexamplePair or the SearchExhaustedError raised for it alone.
+    """
+    results, searched, origins = [], [], []
+    for (p, q), part in zip(cells, _scan(cells, budget, seed)):
+        missing = [name for name, ext in (("positive", part.top), ("negative", part.bottom)) if not ext]
+        if missing:
+            results.append(SearchExhaustedError(
+                f"no significant {' or '.join(missing)} gap found for "
+                f"(p={p}, q={q}) within budget {budget}"
+            ))
+        else:
+            results.append(None)
+            searched.append((p, q))
+            origins += [part.top[0], part.bottom[0]]
+    refined = _refine(searched, origins) if searched else ()
+    pairs = map(CounterexamplePair, refined[::2], refined[1::2])
+    return [next(pairs) if result is None else result for result in results]
 
 
 def find_counterexamples(params, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
@@ -485,18 +522,10 @@ def find_counterexamples(params, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     budget, seed = _scan_args(budget, seed, "budget")
     if classify(params.p, params.q) is not ConvexityClass.NEITHER:
         raise ValueError("find_counterexamples requires a 'neither' pair")
-    (part,) = _scan((params.p,), (params.q,), budget, seed)
-    missing = [
-        name
-        for name, found in (("positive", part.top), ("negative", part.bottom))
-        if not found
-    ]
-    if missing:
-        raise SearchExhaustedError(
-            f"no significant {' or '.join(missing)} gap found for "
-            f"(p={params.p}, q={params.q}) within budget {budget}"
-        )
-    return CounterexamplePair(*_refine(params.p, params.q, (part.top[0], part.bottom[0])))
+    (pair,) = _counterexamples(((params.p, params.q),), budget, seed)
+    if isinstance(pair, SearchExhaustedError):
+        raise pair
+    return pair
 
 
 # --------------------------------------------------------------------------

@@ -171,6 +171,12 @@ def test_selftest_injected_fault_fails(capsys):
             1,
             "d8f9095f3867cc82fd0d22dd9e60aba019672f2ec56230386d70b08cf3ed45ae",
         ),
+        # Two counterexample searches exhausted, two found.
+        (
+            ["--samples", "1", "--seed", "42"],
+            1,
+            "158ffc3ef705375e625a1a9f1c85a340964f3b7eae74b2773093c1ff776146ce",
+        ),
     ],
 )
 def test_selftest_output_is_pinned(capsys, argv, exit_code, digest):

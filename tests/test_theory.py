@@ -116,6 +116,17 @@ def test_g_pq_positive():
     assert np.all(np.asarray(g_pq(-2.0, 3.0, np.logspace(-6, 6, 200))) > 0.0)
 
 
+@pytest.mark.parametrize("p,q", [(-0.3, 0.5), (-2.0, -3.0), (1.0, 1.0), (0.0, 0.5), (2.0, 3.0)])
+def test_g_pq_does_not_depend_on_memory_layout(p, q):
+    # NumPy's power can differ in the last bit between strided and
+    # contiguous input, so a reversed view must give what its copy gives.
+    z = np.geomspace(1e-6, 1e22, 30_001)
+    expected = np.asarray(g_pq(p, q, z[::-1].copy()))
+    assert np.array_equal(g_pq(p, q, z[::-1]), expected)
+    assert np.array_equal(g_pq(p, q, z[::2]), expected[::-1][::2])
+    assert all(g_pq(p, q, float(r)) == g for r, g in zip(z[::3_000], expected[::-1][::3_000]))
+
+
 def test_g_pq_out_of_range_raises():
     with pytest.raises(OverflowError):
         g_pq(0.0, -40.0, 1e-9)  # W**q alone exceeds 1e308

@@ -1,6 +1,7 @@
 """Verifier tests: sampling, region reports, counterexamples, lemma checks."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -22,8 +23,11 @@ from wconvexity.verify import (
     SearchExhaustedError,
     _WORST_KEPT,
     _Part,
+    _counterexamples,
     _gap_arrays,
     _merge_parts,
+    _refine,
+    _scan,
     _scan_part,
     _top_k,
     check_chain,
@@ -226,16 +230,42 @@ def test_partitioned_scan_merges_to_single_pass():
         return list(map(_merge_parts, a, b))
 
     for ps, qs in (((0.0,), (0.5,)), ((0.0, -0.5), (0.5, -1.0))):
-        full = _scan_part(ps, qs, 9, 0, 10_000)
+        cells = tuple(itertools.product(ps, qs))
+        full = _scan_part(cells, 9, 0, 10_000)
         parts = [
-            _scan_part(ps, qs, 9, 0, 3_333),
-            _scan_part(ps, qs, 9, 3_333, 3_333),
-            _scan_part(ps, qs, 9, 6_666, 3_334),
+            _scan_part(cells, 9, 0, 3_333),
+            _scan_part(cells, 9, 3_333, 3_333),
+            _scan_part(cells, 9, 6_666, 3_334),
         ]
         left = merge(merge(parts[0], parts[1]), parts[2])
         right = merge(parts[0], merge(parts[1], parts[2]))
         assert left == full
         assert right == full
+
+
+# Cell lists the grid never makes: a diagonal, a repeated p, a repeated q,
+# an unordered list with a repeated cell, and the four "neither" fixtures.
+CELL_LISTS = [
+    ((-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)),
+    ((0.0, 0.5), (0.0, -1.0), (0.0, 2.0)),
+    ((-2.0, 0.5), (0.0, 0.5), (2.0, 0.5)),
+    ((1.0, -1.0), (-0.5, 0.25), (1.0, 0.25), (-0.5, -1.0), (1.0, -1.0)),
+    NEITHER_FIXTURES,
+]
+
+
+@pytest.mark.parametrize("cells", CELL_LISTS, ids=["diagonal", "same-p", "same-q", "unordered", "neither"])
+def test_scan_over_a_cell_list_equals_per_cell_scans(cells):
+    parts = _scan_part(cells, 9, 0, 5_000)
+    assert parts == [_scan_part((cell,), 9, 0, 5_000)[0] for cell in cells]
+    pieces = [_scan_part(cells, 9, start, 1_250) for start in range(0, 5_000, 1_250)]
+    left = pieces[0]
+    for piece in pieces[1:]:
+        left = list(map(_merge_parts, left, piece))
+    right = pieces[-1]
+    for piece in reversed(pieces[:-1]):
+        right = list(map(_merge_parts, piece, right))
+    assert left == right == parts
 
 
 @pytest.mark.parametrize("chunk,n", [(7, 50), (None, 1_000), (None, 70_000)])
@@ -272,6 +302,10 @@ def test_w0_calls_per_chunk(monkeypatch, chunk, n, chunks):
     monkeypatch.setattr(verify, "compare_at", lambda *a: points.append(a) or real_compare_at(*a))
     find_counterexamples(HpqParams(-0.5, -1.0), n, 42)
     assert len(calls) == 3 * chunks + 48  # the scan, then one call per lockstep step
+    assert points == []
+    calls.clear()
+    _counterexamples(NEITHER_FIXTURES, n, 42)
+    assert len(calls) == 6 * chunks + 48  # W(H_p) per cell, W(x), W(y); one lockstep polish
     assert points == []
 
 
@@ -485,7 +519,7 @@ def _refine_reference(p, q, origin, sign):
 
 
 def _scan_extremes(p, q, budget, seed):
-    (part,) = verify._scan((p,), (q,), budget, seed)
+    (part,) = verify._scan(((p, q),), budget, seed)
     return part.top[0], part.bottom[0]
 
 
@@ -506,13 +540,41 @@ def test_lockstep_search_falls_back_per_direction(kept):
     p, q = -0.5, -1.0
     origins = list(_scan_extremes(p, q, 5_000, 42))
     origins[kept] = dataclasses.replace(origins[kept], gap=(1e300, -1e300)[kept])
-    got = verify._refine(p, q, tuple(origins))
+    got = verify._refine(((p, q),), tuple(origins))
     assert got[kept] is origins[kept]
     assert got[1 - kept] != origins[1 - kept]
     assert got == (
         _refine_reference(p, q, origins[0], +1.0),
         _refine_reference(p, q, origins[1], -1.0),
     )
+
+
+@pytest.mark.parametrize("seed", [42, 7, 20250825])
+def test_one_polish_over_all_fixtures_equals_scalar_searches(seed):
+    origins = [
+        origin
+        for part in _scan(NEITHER_FIXTURES, 5_000, seed)
+        for origin in (part.top[0], part.bottom[0])
+    ]
+    expected = tuple(
+        _refine_reference(p, q, origins[2 * j + k], sign)
+        for j, (p, q) in enumerate(NEITHER_FIXTURES)
+        for k, sign in enumerate((+1.0, -1.0))
+    )
+    assert _refine(NEITHER_FIXTURES, origins) == expected
+
+
+def test_batched_search_mixes_found_and_exhausted_cells():
+    # At budget 10 and seed 42, (2, 3) and (0, 0.5) show only one sign.
+    results = _counterexamples(NEITHER_FIXTURES, 10, 42)
+    for cell, result in zip(NEITHER_FIXTURES, results):
+        if cell in ((2.0, 3.0), (0.0, 0.5)):
+            assert isinstance(result, SearchExhaustedError)
+            with pytest.raises(SearchExhaustedError) as exc:
+                find_counterexamples(HpqParams(*cell), 10, 42)
+            assert str(result) == str(exc.value)
+        else:
+            assert result == find_counterexamples(HpqParams(*cell), 10, 42)
 
 
 def test_find_counterexamples_deterministic():
