@@ -113,7 +113,7 @@ def _cmd_verify(args):
     )
     print(f"verdict: {report.verdict}")
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
+        with open(args.json_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(report.to_json() + "\n")
     return 0 if report.verdict == "pass" else 1
 

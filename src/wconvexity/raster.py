@@ -3,7 +3,8 @@
 The CSV (header ``p,q,class``, shortest round-trip decimals, one row per
 cell) is the machine-readable artifact; the SVG is a fixed 800x800 visual
 with one fill colour per class and the boundary curve q = 1 - 2*sqrt(-p)
-drawn over -1 < p < 0.
+drawn over -1 < p < 0.  Each distinct p and q is formatted once, not once
+per cell; a signed zero keeps its sign in the CSV.
 """
 
 import math
@@ -19,10 +20,12 @@ COLOR_CONCAVE = "#dd6b20"
 COLOR_NEITHER = "#e2e8f0"
 COLOR_CURVE = "#111111"
 
+# Keyed by label: a member's _value_ is a plain attribute, while hashing the
+# member itself and reading .value both run Python code once per cell.
 _FILL = {
-    ConvexityClass.STRICTLY_CONVEX: COLOR_CONVEX,
-    ConvexityClass.STRICTLY_CONCAVE: COLOR_CONCAVE,
-    ConvexityClass.NEITHER: COLOR_NEITHER,
+    ConvexityClass.STRICTLY_CONVEX.value: COLOR_CONVEX,
+    ConvexityClass.STRICTLY_CONCAVE.value: COLOR_CONCAVE,
+    ConvexityClass.NEITHER.value: COLOR_NEITHER,
 }
 
 _SIZE = 800
@@ -59,18 +62,19 @@ def build_raster(p_min, p_max, q_min, q_max, step):
         raise ValueError("raster window must satisfy p_min <= p_max and q_min <= q_max")
     if step <= 0.0:
         raise ValueError("step must be > 0")
-    cells = tuple(
-        (p, q, classify(p, q))
-        for p in _axis(p_min, p_max, step)
-        for q in _axis(q_min, q_max, step)
-    )
+    qs = _axis(q_min, q_max, step)
+    cells = tuple((p, q, classify(p, q)) for p in _axis(p_min, p_max, step) for q in qs)
     return RegionRaster(p_min=p_min, p_max=p_max, q_min=q_min, q_max=q_max, step=step, cells=cells)
 
 
 def write_csv(raster, path):
-    lines = ["p,q,class"]
-    lines.extend(f"{p!r},{q!r},{cls.value}" for p, q, cls in raster.cells)
-    with open(path, "w", encoding="utf-8") as handle:
+    # 0.0 == -0.0 as dict keys, so a zero takes its own repr, never a cached one.
+    text = {v: repr(v) for v in {c[0] for c in raster.cells} | {c[1] for c in raster.cells}}
+    lines = ["p,q,class"] + [
+        f"{text[p] if p else repr(p)},{text[q] if q else repr(q)},{cls._value_}"
+        for p, q, cls in raster.cells
+    ]
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
@@ -92,15 +96,19 @@ def write_svg(raster, path):
         f'viewBox="0 0 {_SIZE} {_SIZE}">',
         f'<rect x="0" y="0" width="{_SIZE}" height="{_SIZE}" fill="#ffffff"/>',
     ]
-    for p, q, cls in raster.cells:
-        x = sx(p - half)
-        y = sy(q + half)
-        w = sx(p + half) - x
-        h = sy(q - half) - y
-        out.append(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
-            f'fill="{_FILL[cls]}"/>'
-        )
+    # x and width depend on p alone, y and height on q alone: format each once.
+    # The two zeros give equal sx and sy, so here they may share a key.
+    ps = {cell[0] for cell in raster.cells}
+    qs = {cell[1] for cell in raster.cells}
+    xs = {p: f"{sx(p - half):.2f}" for p in ps}
+    ws = {p: f"{sx(p + half) - sx(p - half):.2f}" for p in ps}
+    ys = {q: f"{sy(q + half):.2f}" for q in qs}
+    hs = {q: f"{sy(q - half) - sy(q + half):.2f}" for q in qs}
+    out += [
+        f'<rect x="{xs[p]}" y="{ys[q]}" width="{ws[p]}" height="{hs[q]}" '
+        f'fill="{_FILL[cls._value_]}"/>'
+        for p, q, cls in raster.cells
+    ]
     curve_lo = max(x_lo, -1.0)
     curve_hi = min(x_hi, 0.0)
     if curve_lo < curve_hi:
@@ -157,5 +165,5 @@ def write_svg(raster, path):
             f'<text x="{lx + 26}" y="{ly + 14}" font-size="14" fill="#111111">{label}</text>'
         )
     out.append("</svg>")
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(out) + "\n")

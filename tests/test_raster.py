@@ -1,0 +1,120 @@
+"""Raster output tests: pinned digests and a per-cell reference formatter.
+
+`write_csv` and `write_svg` format each distinct p and q once.  The reference
+below formats every cell on its own, with the two f-strings the writers used
+before that, so any window where the two differ by one byte fails here.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from wconvexity import raster
+from wconvexity.cli import run
+from wconvexity.theory import ConvexityClass, classify
+
+# The default `raster --svg` outputs at step 0.05, as pinned by perfbench.
+DEFAULT_CSV_SHA256 = "9a895d60751d46053d906f2ee92d703632fe69fd443b829631158195f1abffd2"
+DEFAULT_SVG_SHA256 = "915c624a64f8c42e691454778025f2fae16422b041ee2f76d366c1562179a81b"
+
+_REFERENCE_FILL = {
+    ConvexityClass.STRICTLY_CONVEX: raster.COLOR_CONVEX,
+    ConvexityClass.STRICTLY_CONCAVE: raster.COLOR_CONCAVE,
+    ConvexityClass.NEITHER: raster.COLOR_NEITHER,
+}
+
+
+def reference_csv(r):
+    lines = ["p,q,class"]
+    lines.extend(f"{p!r},{q!r},{cls.value}" for p, q, cls in r.cells)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def reference_rects(r):
+    half = r.step / 2.0
+    x_lo, x_hi = r.p_min - half, r.p_max + half
+    y_lo, y_hi = r.q_min - half, r.q_max + half
+    plot_w = raster._SIZE - raster._MARGIN_L - raster._MARGIN_R
+    plot_h = raster._SIZE - raster._MARGIN_T - raster._MARGIN_B
+
+    def sx(p):
+        return raster._MARGIN_L + (p - x_lo) / (x_hi - x_lo) * plot_w
+
+    def sy(q):
+        return raster._MARGIN_T + (y_hi - q) / (y_hi - y_lo) * plot_h
+
+    rects = []
+    for p, q, cls in r.cells:
+        x = sx(p - half)
+        y = sy(q + half)
+        w = sx(p + half) - x
+        h = sy(q - half) - y
+        rects.append(
+            f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
+            f'fill="{_REFERENCE_FILL[cls]}"/>'
+        )
+    return rects
+
+
+def reference_svg(r, tmp_path):
+    # Everything but the cell rects depends on the window and step alone; the
+    # rects follow the background rect (the second line).
+    frame = tmp_path / "frame.svg"
+    raster.write_svg(dataclasses.replace(r, cells=()), frame)
+    lines = frame.read_bytes().decode().split("\n")
+    return "\n".join(lines[:2] + reference_rects(r) + lines[2:]).encode()
+
+
+def assert_matches_reference(r, tmp_path):
+    csv_path, svg_path = tmp_path / "map.csv", tmp_path / "map.svg"
+    raster.write_csv(r, csv_path)
+    raster.write_svg(r, svg_path)
+    assert csv_path.read_bytes() == reference_csv(r)
+    assert svg_path.read_bytes() == reference_svg(r, tmp_path)
+
+
+def test_default_outputs_are_pinned(tmp_path, capsys):
+    csv_path, svg_path = tmp_path / "map.csv", tmp_path / "map.svg"
+    assert run(["raster", "--out", str(csv_path), "--svg", str(svg_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == DEFAULT_CSV_SHA256
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == DEFAULT_SVG_SHA256
+
+
+# The default window shifted by whole steps, as perfbench rotates it.
+SHIFTED = [
+    ((-3.0 + sp * 0.25, 3.0 + sp * 0.25, -3.0 + sq * 0.25, 3.0 + sq * 0.25), 0.25)
+    for sp in (-10, -5, 0, 5, 10)
+    for sq in (-10, -5, 0, 5, 10)
+]
+
+
+@pytest.mark.parametrize("window, step", SHIFTED + [((-1.2, 0.4, -2.0, 1.5), 0.1)])
+def test_outputs_match_the_per_cell_reference(tmp_path, window, step):
+    assert_matches_reference(raster.build_raster(*window, step), tmp_path)
+
+
+def test_signed_zero_window_keeps_both_zeros(tmp_path, capsys):
+    # p_max = -0.0 is snapped onto the last p; q passes through +0.0.
+    csv_path, svg_path = tmp_path / "map.csv", tmp_path / "map.svg"
+    argv = ["raster", "--window", "-1", "-0.0", "-1", "1", "--step", "0.5"]
+    assert run(argv + ["--out", str(csv_path), "--svg", str(svg_path)]) == 0
+    capsys.readouterr()
+    r = raster.build_raster(-1.0, -0.0, -1.0, 1.0, 0.5)
+    rows = csv_path.read_text().splitlines()
+    assert "-0.0,0.0,concave" in rows
+    assert "-0.5,0.0,convex" in rows
+    assert csv_path.read_bytes() == reference_csv(r)
+    assert svg_path.read_bytes() == reference_svg(r, tmp_path)
+
+
+def test_zeros_of_both_signs_within_one_axis(tmp_path):
+    ps = (0.0, -0.5, -0.0, 0.5, -0.0)
+    qs = (-0.0, 1.0, 0.0)
+    cells = tuple((p, q, classify(p, q)) for p in ps for q in qs)
+    r = raster.RegionRaster(p_min=-0.5, p_max=0.5, q_min=-0.0, q_max=1.0, step=0.5, cells=cells)
+    assert_matches_reference(r, tmp_path)
+    points = [row.rsplit(",", 1)[0] for row in (tmp_path / "map.csv").read_text().splitlines()]
+    assert points[1:4] == ["0.0,-0.0", "0.0,1.0", "0.0,0.0"]
+    assert points[7:10] == ["-0.0,-0.0", "-0.0,1.0", "-0.0,0.0"]
