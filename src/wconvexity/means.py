@@ -27,8 +27,8 @@ def _geometric(rr, ss):
     # exact for exact products like 2*8), split sqrt otherwise.
     with np.errstate(over="ignore", under="ignore"):
         prod = rr * ss
-    fused = np.sqrt(np.where((prod >= _TINY) & np.isfinite(prod), prod, 1.0))
-    return np.where((prod >= _TINY) & np.isfinite(prod), fused, np.sqrt(rr) * np.sqrt(ss))
+    normal = (prod >= _TINY) & np.isfinite(prod)
+    return np.where(normal, np.sqrt(np.where(normal, prod, 1.0)), np.sqrt(rr) * np.sqrt(ss))
 
 
 def holder_mean(p, r, s):

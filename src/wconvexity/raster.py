@@ -20,8 +20,8 @@ COLOR_CONCAVE = "#dd6b20"
 COLOR_NEITHER = "#e2e8f0"
 COLOR_CURVE = "#111111"
 
-# Keyed by label: a member's _value_ is a plain attribute, while hashing the
-# member itself and reading .value both run Python code once per cell.
+# Keyed by label in legend order: a member's _value_ is a plain attribute,
+# while hashing the member or reading .value runs Python code once per cell.
 _FILL = {
     ConvexityClass.STRICTLY_CONVEX.value: COLOR_CONVEX,
     ConvexityClass.STRICTLY_CONCAVE.value: COLOR_CONCAVE,
@@ -149,13 +149,8 @@ def write_svg(raster, path):
         f'text-anchor="middle" fill="#111111" '
         f'transform="rotate(-90 20 {(_MARGIN_T + _SIZE - _MARGIN_B) / 2:.2f})">q</text>'
     )
-    legend = (
-        ("convex", COLOR_CONVEX),
-        ("concave", COLOR_CONCAVE),
-        ("neither", COLOR_NEITHER),
-    )
     lx = _SIZE - _MARGIN_R - 150
-    for i, (label, color) in enumerate(legend):
+    for i, (label, color) in enumerate(_FILL.items()):
         ly = _MARGIN_T + 12 + 24 * i
         out.append(
             f'<rect x="{lx}" y="{ly}" width="18" height="18" fill="{color}" '

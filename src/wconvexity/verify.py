@@ -113,7 +113,8 @@ def _selftest_checks(samples, seed, inject_fault):
         res = check_g_lemma(p, q)
         yield res.passed, f"g-lemma p={p:g} q={q:g} ({res.expected}: {res.rises} up / {res.falls} down)"
     overrides = {(1.0, 1.0): ConvexityClass.STRICTLY_CONVEX} if inject_fault else {}
-    for report in _verify_grid(GRID_AXIS, GRID_AXIS, samples, seed, overrides):
+    cells = tuple(itertools.product(GRID_AXIS, GRID_AXIS))
+    for report in _verify_grid(cells, samples, seed, overrides):
         yield (
             report.verdict == "pass",
             f"region p={report.params.p:g} q={report.params.q:g} ({report.expected.value}: "
@@ -213,11 +214,18 @@ def significance_threshold(lhs, rhs):
     return SIGNIFICANCE_REL * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
 
 
-def _gap_arrays(p, q, x, y):
-    # One w0 call over [H_p(x, y), x, y]; w0 is elementwise, so this equals three calls.
-    lhs, wx, wy = np.split(np.asarray(w0(np.concatenate([holder_mean(p, x, y), x, y]))), 3)
-    rhs = np.asarray(holder_mean(q, wx, wy))
-    return lhs, rhs, lhs - rhs
+def _compare(cells, x, y):
+    """(x, y, lhs, rhs, gap) columns; cell i owns row i of x.reshape(len(cells), -1).
+
+    One w0 call covers [H_p(x, y) per cell, x, y].  w0 is elementwise and
+    each row is contiguous, so every cell gets what it would get alone.
+    """
+    xs, ys = x.reshape(len(cells), -1), y.reshape(len(cells), -1)
+    means = [holder_mean(p, xr, yr) for (p, _), xr, yr in zip(cells, xs, ys)]
+    lhs, wx, wy = np.asarray(w0(np.concatenate([*means, x, y]))).reshape(3, *xs.shape)
+    rhs = np.concatenate([holder_mean(q, a, b) for (_, q), a, b in zip(cells, wx, wy)])
+    lhs = lhs.ravel()
+    return x, y, lhs, rhs, lhs - rhs
 
 
 def _record(p, q, columns, i):
@@ -229,9 +237,8 @@ def _record(p, q, columns, i):
 def compare_at(p, q, x, y):
     """Evaluate the two sides at one scalar point; gap = lhs - rhs as stored."""
     p, q = float(p), float(q)
-    xx = np.array([finite(x, "x")])
-    yy = np.array([finite(y, "y")])
-    return _record(p, q, (xx, yy, *_gap_arrays(p, q, xx, yy)), 0)
+    xx, yy = np.array([finite(x, "x")]), np.array([finite(y, "y")])
+    return _record(p, q, _compare(((p, q),), xx, yy), 0)
 
 
 # --------------------------------------------------------------------------
@@ -385,21 +392,22 @@ def verify_region(params, n_samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, expected
 
     Draws n_samples log-uniform pairs, counts gaps beyond the significance
     threshold and grades the pattern against `expected` (classify(p, q)
-    unless overridden).  Deterministic for a fixed seed.
+    unless overridden).  Deterministic for a fixed seed.  The window cannot
+    grade a "neither" cell whose turning radius r* lies beyond SAMPLE_DOMAIN:
+    it shows one gap sign only and fails, e.g. (-0.01, q) for q = -0.05, -1, -3.
     """
     params = params if isinstance(params, HpqParams) else HpqParams(*params)
     p, q = params.p, params.q
-    return next(_verify_grid((p,), (q,), n_samples, seed, {(p, q): expected}))
+    return next(_verify_grid(((p, q),), n_samples, seed, {(p, q): expected}))
 
 
-def _verify_grid(ps, qs, n_samples, seed, expected):
-    """Yield verify_region's report for every cell of ps x qs, row-major.
+def _verify_grid(cells, n_samples, seed, expected):
+    """Yield verify_region's report for every (p, q) cell, in order.
 
     One scan serves all cells.  `expected` maps a cell (p, q) to its
     override of classify(p, q).
     """
     n_samples, seed = _scan_args(n_samples, seed, "n_samples")
-    cells = tuple(itertools.product(ps, qs))
     for (p, q), part in zip(cells, _scan(cells, n_samples, seed)):
         cls = expected.get((p, q)) or classify(p, q)
         yield VerificationReport(
@@ -436,13 +444,12 @@ def _refine(cells, origins):
 
     origins holds each cell's (top, bottom) records in turn; direction i
     maximises signs[i] * gap, one coordinate at a time.  Each step evaluates
-    every direction with one w0 call and one holder_mean call per cell and
-    branches by np.where over the same float operations, so each equals its
-    own scalar search bit for bit.  A direction keeps its origin when the
-    polish ends below the scan's |gap|.
+    every direction with one _compare call over all cells and branches by
+    np.where over the same float operations, so each equals its own scalar
+    search bit for bit.  A direction keeps its origin when the polish ends
+    below the scan's |gap|.
     """
     signs = np.tile([1.0, -1.0], len(cells))
-    cell_slices = [slice(i, i + 2) for i in range(0, signs.size, 2)]
     ln_lo, ln_hi = (math.log(v) for v in SAMPLE_DOMAIN)
     half_span = 0.5 * math.log(10.0)
     # Row 0 holds ln x and row 1 ln y, one column per direction.
@@ -450,14 +457,8 @@ def _refine(cells, origins):
 
     def columns(logs):
         # math.exp per element: np.exp can differ from it in the last bit.
-        x, y = (np.array([math.exp(v) for v in row]) for row in logs)
-        # One w0 call over [H_p(x, y) per cell, x, y]; w0 is elementwise.
-        means = [holder_mean(p, x[s], y[s]) for (p, _), s in zip(cells, cell_slices)]
-        lhs, wx, wy = np.asarray(w0(np.concatenate([*means, x, y]))).reshape(3, -1)
-        rhs = np.empty_like(lhs)
-        for (_, q), s in zip(cells, cell_slices):
-            rhs[s] = holder_mean(q, wx[s], wy[s])
-        return x, y, lhs, rhs, lhs - rhs
+        # Cell i owns directions 2i and 2i + 1, row i of _compare's split.
+        return _compare(cells, *(np.array([math.exp(v) for v in row]) for row in logs))
 
     def fun(coord, t):
         moved = point.copy()
@@ -514,9 +515,11 @@ def find_counterexamples(params, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
 
     Scans `budget` seeded samples for the extreme positive and negative
     gaps, then polishes each extreme with coordinate-wise golden-section
-    steps.  Raises SearchExhaustedError when a direction never shows up
-    (either the budget is too small or the implementation is wrong: the
-    classification guarantees both exist).
+    steps.  Raises SearchExhaustedError when a direction never shows up,
+    although the classification guarantees both exist: the budget is too
+    small, the cell's turning radius r* lies beyond SAMPLE_DOMAIN (e.g.
+    (-0.01, q) for q = -0.05, -1, -3, where ln r* is 108, 204 and 405), or
+    the implementation is wrong.
     """
     params = params if isinstance(params, HpqParams) else HpqParams(*params)
     budget, seed = _scan_args(budget, seed, "budget")

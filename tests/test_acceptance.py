@@ -17,7 +17,7 @@ from wconvexity.means import holder_mean
 from wconvexity.theory import HpqParams, c_of_p, classify, f1, g_pq, h_p, h_p_argmax
 from wconvexity.verify import (
     GRID_AXIS,
-    _gap_arrays,
+    _compare,
     check_chain,
     check_g_lemma,
     check_h_lemma,
@@ -123,7 +123,7 @@ def test_criterion_6_inequality_chains():
     sep = np.abs(np.log(x / y)) > 1e-2
 
     # harmonic-mean comparison: convex direction, never significantly violated
-    lhs, rhs, gap = _gap_arrays(-1.0, -1.0, x, y)
+    _, _, lhs, rhs, gap = _compare(((-1.0, -1.0),), x, y)
     assert np.sum(gap > significance_threshold(lhs, rhs)) == 0
     # strict where double precision can express the sign: any positive
     # excursion is below two ulps of the compared values, and away from

@@ -23,8 +23,8 @@ from wconvexity.verify import (
     SearchExhaustedError,
     _WORST_KEPT,
     _Part,
+    _compare,
     _counterexamples,
-    _gap_arrays,
     _merge_parts,
     _refine,
     _scan,
@@ -274,7 +274,7 @@ def test_grid_reports_equal_per_cell_reports(monkeypatch, chunk, n):
         monkeypatch.setattr(verify, "_CHUNK", chunk)
     ps, qs = (-0.5, 0.0, 1.0), (-1.0, 0.25, 1.0)
     overrides = {(1.0, 1.0): CONVEX}
-    reports = list(verify._verify_grid(ps, qs, n, 42, overrides))
+    reports = list(verify._verify_grid(tuple(itertools.product(ps, qs)), n, 42, overrides))
     cells = [(p, q) for p in ps for q in qs]
     assert [(r.params.p, r.params.q) for r in reports] == cells
     for (p, q), report in zip(cells, reports):
@@ -289,7 +289,7 @@ def test_w0_calls_per_chunk(monkeypatch, chunk, n, chunks):
         monkeypatch.setattr(verify, "_CHUNK", chunk)
     calls, real_w0 = [], verify.w0
     monkeypatch.setattr(verify, "w0", lambda z: calls.append(np.size(z)) or real_w0(z))
-    list(verify._verify_grid(GRID_AXIS, GRID_AXIS, n, 42, {}))
+    list(verify._verify_grid(tuple(itertools.product(GRID_AXIS, GRID_AXIS)), n, 42, {}))
     assert len(calls) == 13 * chunks  # W(H_p) per p, then W(x) and W(y)
     calls.clear()
     verify_region(HpqParams(-0.5, -1.0), n, 42)
@@ -330,17 +330,35 @@ def test_chunk_size_does_not_change_results(monkeypatch, cell, seed, chunk, n):
     assert find_counterexamples(params, n, seed) == expected[1]
 
 
-def test_compare_at_replays_report_records():
-    report = verify_region(HpqParams(-3.0, -3.0), 10_000, 42)
+def test_compare_at_replays_report_records(p=-3.0, q=-3.0):
+    report = verify_region(HpqParams(p, q), 10_000, 42)
     for rec in report.worst_records:
         assert compare_at(rec.p, rec.q, rec.x, rec.y) == rec
+
+
+@pytest.mark.parametrize("p,q", [(0.0, 0.5), (2.0, 3.0), (-0.5, -1.0)])
+def test_compare_at_replays_report_records_of_more_cells(p, q):
+    # p = 0 takes holder_mean's geometric branch; the worst gaps of the
+    # "neither" cells (2, 3) and (-0.5, -1) are positive and negative.
+    test_compare_at_replays_report_records(p, q)
+
+
+def test_compare_over_cells_equals_one_cell_calls():
+    # Cell i owns points 3i .. 3i + 2; (2, 1) repeats the p of (2, 3).
+    cells = (*NEITHER_FIXTURES, (2.0, 1.0))
+    x, y = sample_pairs(11, 0, 3 * len(cells))
+    together = _compare(cells, x, y)
+    for i, cell in enumerate(cells):
+        rows = slice(3 * i, 3 * i + 3)
+        alone = _compare((cell,), x[rows], y[rows])
+        assert [c[rows].tobytes() for c in together] == [c.tobytes() for c in alone]
 
 
 def test_top_k_matches_stable_argsort_including_ties():
     # The 10th and 11th largest entries tie; the lower index must win.
     a = np.array([5.0, 1.0, 9.0, 3.0, 3.0, 8.0, 7.0, 6.0, 4.0, 3.0, 3.0, 9.0, 0.5])
     assert list(_top_k(a, 10)) == [2, 11, 5, 6, 7, 0, 8, 3, 4, 9]
-    _, _, gap = _gap_arrays(0.0, 0.5, *sample_pairs(3, 0, 20_000))
+    *_, gap = _compare(((0.0, 0.5),), *sample_pairs(3, 0, 20_000))
     for values in (np.abs(gap), np.round(np.abs(gap), 14), np.zeros(5), np.ones(30)):
         assert np.array_equal(_top_k(values, 10), np.argsort(-values, kind="stable")[:10])
 
@@ -414,7 +432,7 @@ def test_strictly_convex_gap_is_significantly_negative(p, q):
     assert classify(p, q) is CONVEX
     x, y = _moderate_pairs(5, 20_000)
     sep = np.abs(np.log(x / y)) > 1e-2
-    lhs, rhs, gap = _gap_arrays(p, q, x[sep], y[sep])
+    _, _, lhs, rhs, gap = _compare(((p, q),), x[sep], y[sep])
     assert np.all(gap < -significance_threshold(lhs, rhs))
 
 
@@ -423,7 +441,7 @@ def test_strictly_concave_gap_is_significantly_positive(p, q):
     assert classify(p, q) is CONCAVE
     x, y = _moderate_pairs(5, 20_000)
     sep = np.abs(np.log(x / y)) > 1e-2
-    lhs, rhs, gap = _gap_arrays(p, q, x[sep], y[sep])
+    _, _, lhs, rhs, gap = _compare(((p, q),), x[sep], y[sep])
     assert np.all(gap > significance_threshold(lhs, rhs))
 
 
