@@ -3,8 +3,12 @@
 The kernel refines a piecewise initial guess with six Halley steps on the
 defining residual w * e**w - z, then returns whichever of the result and its
 two neighbouring doubles minimises that residual, choosing by strict < in the
-order w, lower, upper.  No step looks at other elements, so w0 is elementwise:
-a value never depends on its batch.  This keeps |w0(z) * e**w0(z) - z| within
+order w, lower, upper.  Each stage works only where a bit can still change:
+each guess formula runs on its own branch's elements, steps four to six run
+only on the elements that step three moved (an unmoved iterate is a fixed
+point, so the rest would repeat it), and the neighbours are the bit pattern
+-1 and +1.  No step looks at other elements, so w0 is elementwise: a value
+never depends on its batch.  This keeps |w0(z) * e**w0(z) - z| within
 2e-15 * max(z, 1) across the verified envelope [0, 1e9], bar rare z in
 [1e8, 1e9] where the polish keeps a neighbour of the best double (up to 1.008
 times the bound); the w >= 16 band nearly exhausts that budget because the
@@ -33,6 +37,11 @@ _GUESS_AT_E_SQ = 2.0 - _LN2 + 0.5 * _LN2
 # every even count from six on polishes to the same double (four does not,
 # e.g. at z = 0.29835963).  The sixth step stays below ~4.7e-16 * |w|.
 _STEPS = 6
+# Steps up to this one run on every element, later ones only on the elements
+# it moved.  It leaves 85.9% of the 500,000 coordinates of
+# sample_pairs(42, 0, 250_000) bit-for-bit unmoved (step two 5.2%, step four
+# 95.7%).
+_SETTLE_STEPS = 3
 _CONVERGED_REL = 8e-16
 # Near the root the Halley denominator e**w * (w + 1) is about z * (1 + 1/w),
 # which overflows only for z above ~1.795e308; below this bound it cannot.
@@ -46,45 +55,69 @@ def residual_bound(z):
 
 def _initial_guess(z):
     # z < 1: w ~ z.  z >= e**2: two-term asymptotic with first correction.
-    # In between: linear interpolation of the two edge values.
-    out = np.where(z < 1.0, z, 1.0)
-    mid = (z >= 1.0) & (z < _E_SQ)
-    if np.any(mid):
-        frac = (z - 1.0) / (_E_SQ - 1.0)
-        out = np.where(mid, 1.0 + frac * (_GUESS_AT_E_SQ - 1.0), out)
-    big = z >= _E_SQ
-    if np.any(big):
-        lz = np.log(np.maximum(z, _E_SQ))
-        llz = np.log(lz)
-        out = np.where(big, lz - llz + llz / lz, out)
+    # In between: linear interpolation of the two edge values.  Each formula
+    # runs only on the elements of its own branch.
+    out = np.minimum(z, 1.0)
+    mid = np.flatnonzero((z >= 1.0) & (z < _E_SQ))
+    out[mid] = 1.0 + (z[mid] - 1.0) / (_E_SQ - 1.0) * (_GUESS_AT_E_SQ - 1.0)
+    big = np.flatnonzero(z >= _E_SQ)
+    lz = np.log(z[big])
+    llz = np.log(lz)
+    out[big] = lz - llz + llz / lz
     return out
 
 
+def _halley_step(z, w, block, near_max):
+    # One Halley step for f(w) = w*e**w - z through the rows of a (4, n)
+    # block; w is not updated.  Row 0 is free once it returns.
+    ew, f, wp1, t = block
+    np.multiply(w, np.exp(w, out=ew), out=f)
+    f -= z
+    np.add(w, 1.0, out=wp1)
+    np.multiply(np.add(w, 2.0, out=t), f, out=t)
+    t /= 2.0 * wp1
+    denom = np.multiply(ew, wp1, out=ew)
+    denom -= t
+    step = np.divide(f, denom, out=f)
+    if near_max:
+        # Where e**w * (w + 1) overflows, take the same step divided
+        # through by e**w.  Only there: elsewhere it rounds differently.
+        fs = w - z * np.exp(-w)
+        scaled = fs / (wp1 - (w + 2.0) * fs / (2.0 * wp1))
+        step = np.where(np.isfinite(denom), step, scaled)
+    return step
+
+
+def _halley_steps(z, w, count, near_max):
+    # count Halley steps on w in place through one (4, n) block of
+    # temporaries, freed on return; under glibc that keeps later batch-sized
+    # temporaries on the heap, not faulted in anew.  Returns the elements
+    # that the last step moved and whether each last step converged.
+    block = np.empty((4, w.size))
+    for _ in range(count - 1):
+        w -= _halley_step(z, w, block, near_max)
+    step = _halley_step(z, w, block, near_max)
+    new = np.subtract(w, step, out=block[0])
+    moved = np.flatnonzero(new.view(np.int64) != w.view(np.int64))
+    w[moved] = new[moved]
+    return moved, np.abs(step) <= _CONVERGED_REL * np.abs(w) + 5e-324
+
+
 def _halley(z, w):
-    # Halley iteration for f(w) = w*e**w - z; cubic convergence from the
-    # guesses above.  A fixed count, so no element waits on another.  Steps
-    # update a copy of w in one (4, n) block; under glibc, freeing that block
-    # keeps later batch-sized temporaries on the heap, not faulted in anew.
+    # Halley iteration; cubic convergence from the guesses above.  A fixed
+    # count, so no element waits on another.  An element that step
+    # _SETTLE_STEPS leaves bit-for-bit unmoved is a fixed point: each later
+    # step starts from the same (w, z) and repeats that step.  So only the
+    # elements it moved take the remaining steps, gathered into contiguous
+    # arrays, and every element's last step is checked.
     near_max = z.max(initial=0.0) > _OVERFLOW_FREE
     w = w.copy()
-    ew, f, wp1, t = np.empty((4, w.size))
-    for _ in range(_STEPS):
-        np.multiply(w, np.exp(w, out=ew), out=f)
-        f -= z
-        np.add(w, 1.0, out=wp1)
-        np.multiply(np.add(w, 2.0, out=t), f, out=t)
-        t /= 2.0 * wp1
-        denom = np.multiply(ew, wp1, out=ew)
-        denom -= t
-        step = np.divide(f, denom, out=f)
-        if near_max:
-            # Where e**w * (w + 1) overflows, take the same step divided
-            # through by e**w.  Only there: elsewhere it rounds differently.
-            fs = w - z * np.exp(-w)
-            scaled = fs / (wp1 - (w + 2.0) * fs / (2.0 * wp1))
-            step = np.where(np.isfinite(denom), step, scaled)
-        w -= step
-    if not np.all(np.abs(step) <= _CONVERGED_REL * np.abs(w) + 5e-324):
+    moved, converged = _halley_steps(z, w, min(_STEPS, _SETTLE_STEPS), near_max)
+    if _STEPS > _SETTLE_STEPS:
+        w_moved = w[moved]
+        converged[moved] = _halley_steps(z[moved], w_moved, _STEPS - _SETTLE_STEPS, near_max)[1]
+        w[moved] = w_moved
+    if not converged.all():
         raise RuntimeError("Halley iteration for w0 did not converge")
     return w
 
@@ -93,7 +126,12 @@ def _polish(z, w):
     # The final iterate is within one double of the best one: keep the least
     # residual of w and its neighbours by strict < in the order w, lower,
     # upper, so a tie keeps the earlier and exact solutions (z = 0) survive.
-    lo, hi = np.nextafter(w, -np.inf), np.nextafter(w, np.inf)
+    # For w > 0 the neighbours are the bit pattern -1 and +1 (the largest
+    # double + 1 is inf); nextafter serves only the zeros, for their sign.
+    bits = w.view(np.int64)
+    lo, hi = (bits - 1).view(np.float64), (bits + 1).view(np.float64)
+    edge = np.flatnonzero(~(w > 0.0))
+    lo[edge], hi[edge] = np.nextafter(w[edge], -np.inf), np.nextafter(w[edge], np.inf)
     best, r_lo = np.abs(w * np.exp(w) - z), np.abs(lo * np.exp(lo) - z)
     w, best = np.where(r_lo < best, lo, w), np.minimum(r_lo, best)
     return np.where(np.abs(hi * np.exp(hi) - z) < best, hi, w)

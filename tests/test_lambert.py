@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wconvexity import lambert
 from wconvexity.lambert import RESIDUAL_TOL, residual_bound, w0, w0_prime
@@ -97,10 +98,18 @@ def test_w0_is_elementwise():
     assert [float(v) for v in batch] == [w0(float(v)) for v in z]
 
 
-def test_w0_raises_when_halley_does_not_converge(monkeypatch):
-    monkeypatch.setattr(lambert, "_STEPS", 1)
+# Steps 1 to 3 run full width and later steps only where step 3 moved the
+# iterate: the check must see the last step of either kind, exactly once.
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_w0_raises_when_halley_does_not_converge(monkeypatch, steps):
+    monkeypatch.setattr(lambert, "_STEPS", steps)
     with pytest.raises(RuntimeError):
         w0(np.logspace(-3.0, 3.0, 50))
+
+
+def test_w0_converges_in_four_halley_steps(monkeypatch):
+    monkeypatch.setattr(lambert, "_STEPS", 4)
+    w0(np.logspace(-3.0, 3.0, 50))
 
 
 def test_scalar_and_array_shapes():
@@ -190,12 +199,15 @@ _MAX = np.finfo(np.float64).max
 
 
 def _stage_inputs():
-    # Zero, subnormals, the whole double range, the band where the Halley
-    # step is taken divided through by e**w, the three z of the strict xfail
-    # below, and seeded sample coordinates, where many candidate residuals tie.
+    # Both zeros, subnormals, the doubles around the edges of the guess's
+    # branches, the whole double range, the band where the Halley step is
+    # taken divided through by e**w, the three z of the strict xfail below,
+    # and seeded sample coordinates, where many candidate residuals tie.
+    edges = [(np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)) for v in (1.0, lambert._E_SQ)]
     return np.concatenate(
         [
-            [0.0, 5e-324],
+            [0.0, -0.0, 5e-324],
+            *edges,
             np.logspace(-323.3, math.log10(np.finfo(np.float64).tiny), 2_001),
             np.logspace(-323.0, 308.0, 200_001),
             np.linspace(1.79e308, _MAX, 10_001),
@@ -221,6 +233,39 @@ def test_stages_are_bit_identical_to_the_references():
         assert _same_bits(lambert._polish(z, w), _polish_reference(z, w))
 
 
+def test_an_iterate_that_step_3_leaves_unmoved_stays_unmoved(monkeypatch):
+    # The premise of _halley's split: past _SETTLE_STEPS only the elements
+    # that the last full-width step moved need further steps.
+    steps = lambert._STEPS
+    monkeypatch.setattr(lambert, "_STEPS", 1)
+    z = _stage_inputs()
+    iterates = [_initial_guess_reference(z)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            iterates.append(_halley_reference(z, iterates[-1]))
+    settled = iterates[lambert._SETTLE_STEPS]
+    unmoved = settled.view(np.int64) == iterates[lambert._SETTLE_STEPS - 1].view(np.int64)
+    assert 0.5 * z.size < np.count_nonzero(unmoved) < z.size
+    for w in iterates[lambert._SETTLE_STEPS + 1 :]:
+        assert _same_bits(w[unmoved], settled[unmoved])
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    arrays(
+        np.float64,
+        st.integers(0, 40),
+        elements=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) | st.just(-0.0),
+    )
+)
+def test_w0_equals_the_reference_stages_on_any_batch(z):
+    # Zeros, subnormals and the double maximum mixed in one batch, with
+    # elements that settle by step 3 and elements that do not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _polish_reference(z, _halley_reference(z, _initial_guess_reference(z)))
+    assert _same_bits(w0(z), expected)
+
+
 def test_polish_ties_keep_the_earlier_candidate():
     # Among the seed-42 coordinates, thousands of Halley results have a
     # neighbour whose residual equals the best one; taking the later
@@ -231,6 +276,14 @@ def test_polish_ties_keep_the_earlier_candidate():
     best = np.minimum.reduce(resid)
     tied = sum(r == best for r in resid) >= 2
     assert np.count_nonzero(tied) > 1_000
+    assert _same_bits(lambert._polish(z, w), _polish_reference(z, w))
+
+
+def test_polish_takes_the_neighbours_of_zeros_by_nextafter():
+    # w0's zeros are exact, so no neighbour can win there; with z = +-5e-324
+    # one does, and only nextafter gives -0.0 the neighbour +5e-324 and 0.0
+    # the neighbour -5e-324.
+    z, w = (v.ravel() for v in np.meshgrid([-5e-324, 0.0, 5e-324], [0.0, -0.0]))
     assert _same_bits(lambert._polish(z, w), _polish_reference(z, w))
 
 
