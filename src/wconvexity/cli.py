@@ -32,6 +32,9 @@ def build_parser():
         "convexity classification of W with numerical verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pq = argparse.ArgumentParser(add_help=False)
+    pq.add_argument("p", type=float)
+    pq.add_argument("q", type=float)
 
     p_eval = sub.add_parser("eval", help="evaluate W or a power mean")
     p_eval.set_defaults(handler=_cmd_eval)
@@ -43,23 +46,17 @@ def build_parser():
     p_mean.add_argument("r", type=float)
     p_mean.add_argument("s", type=float)
 
-    p_classify = sub.add_parser("classify", help="print convex/concave/neither for (p, q)")
+    p_classify = sub.add_parser("classify", parents=[pq], help="print convex/concave/neither for (p, q)")
     p_classify.set_defaults(handler=_cmd_classify)
-    p_classify.add_argument("p", type=float)
-    p_classify.add_argument("q", type=float)
 
-    p_verify = sub.add_parser("verify", help="randomized region check for (p, q)")
+    p_verify = sub.add_parser("verify", parents=[pq], help="randomized region check for (p, q)")
     p_verify.set_defaults(handler=_cmd_verify)
-    p_verify.add_argument("p", type=float)
-    p_verify.add_argument("q", type=float)
     p_verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--json", dest="json_path", metavar="PATH", default=None)
 
-    p_ce = sub.add_parser("counterexample", help="find both violation directions")
+    p_ce = sub.add_parser("counterexample", parents=[pq], help="find both violation directions")
     p_ce.set_defaults(handler=_cmd_counterexample)
-    p_ce.add_argument("p", type=float)
-    p_ce.add_argument("q", type=float)
     p_ce.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_ce.add_argument("--seed", type=int, default=DEFAULT_SEED)
 

@@ -42,6 +42,7 @@ def holder_mean(p, r, s):
     # Contiguous because NumPy's power can round strided input differently;
     # contiguous arguments are used as they are, without a copy.
     rr, ss = map(np.ascontiguousarray, np.broadcast_arrays(positive(r, "r"), positive(s, "s")))
+    lo, hi = np.minimum(rr, ss), np.maximum(rr, ss)
 
     if p == 0.0:
         out = _geometric(rr, ss)
@@ -49,22 +50,19 @@ def holder_mean(p, r, s):
         d = np.log(rr) - np.log(ss)
         out = _geometric(rr, ss) * np.exp(np.log1p(2.0 * np.sinh(p * d / 4.0) ** 2) / p)
     else:
-        a = p * np.log(rr)
-        b = p * np.log(ss)
-        use_stable = (np.abs(a) > _EXPONENT_GUARD) | (np.abs(b) > _EXPONENT_GUARD)
+        # |p ln r| or |p ln s| beyond the guard; ln is monotone, so the larger
+        # of the two is |p| * max(-ln lo, ln hi).
+        use_stable = abs(p) * np.maximum(-np.log(lo), np.log(hi)) > _EXPONENT_GUARD
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             out = ((rr**p + ss**p) / 2.0) ** (1.0 / p)
             if use_stable.any():
                 # Factor out the dominant argument: base * ((1 + t) / 2)**(1/p)
                 # with t = (lo/hi)**|p| <= 1 keeps a few ulp for any |ln H|.
                 # An overflowing hi / lo gives the limit base * 2**(-1/p).
-                hi, lo = np.maximum(rr, ss), np.minimum(rr, ss)
                 base = hi if p > 0.0 else lo
                 log_half_sum = np.log1p(np.expm1(-abs(p) * np.log(hi / lo)) / 2.0)
                 out = np.where(use_stable, base * np.exp(log_half_sum / p), out)
 
-    lo = np.minimum(rr, ss)
-    hi = np.maximum(rr, ss)
     out = np.minimum(np.maximum(out, lo), hi)
     return like(np.where(rr == ss, rr, out), r, s)
 

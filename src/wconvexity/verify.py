@@ -11,8 +11,7 @@ inequality chain.
 Sampling is counter-based: sample i of a run draws its two coordinates
 from SplitMix64 outputs at positions (seed, 2i) and (seed, 2i + 1).  Any
 partition of the index space can therefore be scanned independently and
-merged associatively with bit-identical results, which is also the
-contract for parallel execution.
+merged associatively with bit-identical results.
 """
 
 import itertools
@@ -106,6 +105,7 @@ def _selftest_checks(samples, seed, inject_fault):
 
     inject_fault flips the (1, 1) region expectation, so the run must fail.
     """
+    samples, seed = _scan_args(samples, seed, "n_samples")
     for p in H_LEMMA_FIXTURES:
         res = check_h_lemma(p)
         yield res.passed, f"h-lemma p={p:g} ({res.expected}: {res.rises} up / {res.falls} down)"
@@ -120,7 +120,7 @@ def _selftest_checks(samples, seed, inject_fault):
             f"region p={report.params.p:g} q={report.params.q:g} ({report.expected.value}: "
             f"{report.n_gap_positive} pos / {report.n_gap_negative} neg)",
         )
-    budget = max(10 * samples, 1)
+    budget = 10 * samples
     for (p, q), pair in zip(NEITHER_FIXTURES, _counterexamples(NEITHER_FIXTURES, budget, seed)):
         if isinstance(pair, SearchExhaustedError):
             yield False, f"counterexample p={p:g} q={q:g} ({pair})"
@@ -209,9 +209,9 @@ class ComparisonRecord:
     gap: float
 
 
-def significance_threshold(lhs, rhs):
+def significance_threshold(lhs, rhs, rel=SIGNIFICANCE_REL):
     """Gap magnitude below which a comparison counts as a numerical tie."""
-    return SIGNIFICANCE_REL * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+    return rel * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
 
 
 def _compare(cells, x, y):
@@ -222,7 +222,7 @@ def _compare(cells, x, y):
     """
     xs, ys = x.reshape(len(cells), -1), y.reshape(len(cells), -1)
     means = [holder_mean(p, xr, yr) for (p, _), xr, yr in zip(cells, xs, ys)]
-    lhs, wx, wy = np.asarray(w0(np.concatenate([*means, x, y]))).reshape(3, *xs.shape)
+    lhs, wx, wy = w0(np.concatenate([*means, x, y])).reshape(3, *xs.shape)
     rhs = np.concatenate([holder_mean(q, a, b) for (_, q), a, b in zip(cells, wx, wy)])
     lhs = lhs.ravel()
     return x, y, lhs, rhs, lhs - rhs
@@ -336,10 +336,10 @@ def _scan_part(cells, seed, start, count):
     columns, w, parts = {}, None, []
     for i, (p, q) in enumerate(cells):
         if ("p", p) not in columns:
-            columns["p", p] = np.asarray(w0(holder_mean(p, x, y)))
+            columns["p", p] = w0(holder_mean(p, x, y))
         if ("q", q) not in columns:
-            w = w or (np.asarray(w0(x)), np.asarray(w0(y)))
-            columns["q", q] = np.asarray(holder_mean(q, *w))
+            w = w or (w0(x), w0(y))
+            columns["q", q] = holder_mean(q, *w)
             todo_q.discard(q)
             w = w if todo_q else None
         parts.append(_cell_part(p, q, x, y, columns["p", p], columns["q", q]))
@@ -583,9 +583,7 @@ def _lemma_check(p, q, r, values, expected, bound=math.inf):
     # Steps below the tie threshold are rounding noise, not monotonicity
     # evidence: near flat stretches adjacent values can round identically.
     diffs = np.diff(values)
-    tau = _STEP_SIGNIFICANCE * np.maximum(
-        1.0, np.maximum(np.abs(values[:-1]), np.abs(values[1:]))
-    )
+    tau = significance_threshold(values[:-1], values[1:], _STEP_SIGNIFICANCE)
     rises, falls = int(np.sum(diffs > tau)), int(np.sum(diffs < -tau))
     if expected == "increasing":
         shape = rises > 0 and falls == 0
@@ -623,7 +621,7 @@ def check_h_lemma(p, grid_size=10_000):
     """
     p = float(p)
     r = _lemma_grid(grid_size)
-    values = np.asarray(h_p(p, r))
+    values = h_p(p, r)
     if p >= 0.0:
         return _lemma_check(p, None, r, values, "increasing")
     if p <= -1.0:
@@ -649,5 +647,5 @@ def check_g_lemma(p, q, grid_size=10_000):
     p = float(p)
     q = float(q)
     r = _lemma_grid(grid_size)
-    ln_g = _ln_g(p, q, r, np.asarray(w0(r)))[2]
+    ln_g = _ln_g(p, q, r, w0(r))[2]
     return _lemma_check(p, q, r, ln_g, _G_SHAPE[classify(p, q)])

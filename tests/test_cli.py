@@ -154,6 +154,14 @@ def test_selftest_seed_stability(capsys):
         assert code == 0
 
 
+@pytest.mark.parametrize("argv", [["--samples", "0"], ["--seed", "-1"]])
+def test_selftest_checks_arguments_before_any_check(capsys, argv):
+    code, out, err = invoke(capsys, ["selftest", *argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_selftest_injected_fault_fails(capsys):
     code, out, _ = invoke(
         capsys, ["selftest", "--samples", "500", "--seed", "42", "--inject-fault"]

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +267,26 @@ def test_scan_over_a_cell_list_equals_per_cell_scans(cells):
     for piece in reversed(pieces[:-1]):
         right = list(map(_merge_parts, piece, right))
     assert left == right == parts
+
+
+def _scan_peak_bytes(cells, count):
+    tracemalloc.start()
+    try:
+        _scan_part(cells, 42, 0, count)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_drops_columns_after_their_last_cell():
+    # Four cells share W(x) and W(y) and need four W(H_p) and four H_q
+    # columns.  Made just in time and dropped after their last cell, they
+    # cost under one column more than a one-cell scan (0.89); a scan that
+    # kept every column costs 6.9, one that made every H_q column first 3.0.
+    count = 65_536
+    _scan_part(NEITHER_FIXTURES, 42, 0, count)  # first-call allocations
+    extra = _scan_peak_bytes(NEITHER_FIXTURES, count) - _scan_peak_bytes(NEITHER_FIXTURES[:1], count)
+    assert extra / (8 * count) < 2
 
 
 @pytest.mark.parametrize("chunk,n", [(7, 50), (None, 1_000), (None, 70_000)])
@@ -651,7 +672,21 @@ def test_check_h_lemma_examples():
     assert abs(math.log(res.grid_argmax) - 1.0) <= 1e-2  # argmax near e
 
 
-@pytest.mark.parametrize("p", H_LEMMA_FIXTURES)
+# Near p -> 0- the turning radius of h_p or g_pq leaves the fixed lemma
+# window [1e-9, 1e9], and the grid sees only one direction of steps.
+_WINDOW_DEFECT = pytest.mark.xfail(
+    raises=AssertionError, strict=True, reason="turning radius beyond the lemma window"
+)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        *H_LEMMA_FIXTURES,
+        -0.005,  # argmax r = 6.7e6, inside the window
+        *(pytest.param(p, marks=_WINDOW_DEFECT) for p in (-0.002, -0.001, -1e-4)),  # 9,999 up / 0 down
+    ],
+)
 def test_check_h_lemma_fixtures(p):
     assert check_h_lemma(p, 10_000).passed
 
@@ -669,7 +704,13 @@ def test_check_g_lemma_examples():
         assert check_g_lemma(p, q, 5_000).passed
 
 
-@pytest.mark.parametrize("p,q", G_LEMMA_FIXTURES)
+@pytest.mark.parametrize(
+    "p,q",
+    [
+        *G_LEMMA_FIXTURES,
+        *(pytest.param(-0.1, q, marks=_WINDOW_DEFECT) for q in (-1.0, -2.0, -3.0)),  # 0 up / 9,999 down
+    ],
+)
 def test_check_g_lemma_fixtures(p, q):
     assert check_g_lemma(p, q, 10_000).passed
 
