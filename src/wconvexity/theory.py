@@ -23,6 +23,7 @@ import numpy as np
 
 from ._checks import finite, like, positive
 from .lambert import w0
+from .means import _EXPONENT_GUARD
 
 __all__ = [
     "ConvexityClass",
@@ -109,7 +110,7 @@ def g_pq(p, q, r):
         raise OverflowError("g_pq underflows the double range")
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         direct = w**q / (arr**p * (w + 1.0))
-    safe = (np.abs(a) < 700.0) & (np.abs(b) < 700.0) & np.isfinite(direct)
+    safe = (np.abs(a) < _EXPONENT_GUARD) & (np.abs(b) < _EXPONENT_GUARD) & np.isfinite(direct)
     return like(np.where(safe, direct, np.exp(ln_val)), r)
 
 

@@ -49,9 +49,10 @@ SIGNIFICANCE_REL = 1e-12
 # below that radius the comparison cannot show its second sign at all.
 # 1e22 keeps >= 10% of each coordinate's mass beyond that radius.
 SAMPLE_DOMAIN = (1e-6, 1e22)
-# Tie threshold for grid monotonicity steps in the lemma checkers.
+# Tie threshold for neighbour steps: lemma grid values, chain members.
 _STEP_SIGNIFICANCE = 1e-13
-_LEMMA_DOMAIN = (1e-9, 1e9)
+# Log grid over [1e-9, 1e9] shared by the lemma checkers.
+_LEMMA_GRID = np.logspace(-9.0, 9.0, 10_000)
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_BUDGET = 100_000
@@ -133,12 +134,11 @@ def _selftest_checks(samples, seed, inject_fault):
             )
     n_chain = min(samples, 10_000)
     x, y = sample_pairs(seed, 0, n_chain)
-    a, b, c, d = check_chain(x, y)
-    tol = 1e-13 * np.maximum(1.0, d)
-    ok = bool(np.all(a <= b + tol) and np.all(b <= c + tol) and np.all(c <= d + tol))
+    steps = itertools.pairwise(check_chain(x, y))
+    ok = all(np.all(lo <= hi + significance_threshold(lo, hi, _STEP_SIGNIFICANCE)) for lo, hi in steps)
     yield ok, f"chain ordering on {n_chain} samples"
-    eq = check_chain(3.0, 3.0)
-    ok_eq = max(eq) - min(eq) <= 1e-13 * max(1.0, max(eq))
+    steps = itertools.pairwise(check_chain(3.0, 3.0))
+    ok_eq = all(abs(hi - lo) <= significance_threshold(lo, hi, _STEP_SIGNIFICANCE) for lo, hi in steps)
     yield ok_eq, "chain equality on the diagonal"
 
 
@@ -178,9 +178,12 @@ def sample_pairs(seed, start, count):
 
     Log-uniform over SAMPLE_DOMAIN per coordinate; depends only on
     (seed, sample index), never on how the index space is chunked.
+    Indices stay below 2**63, so the counter positions 2i and 2i + 1
+    never wrap modulo 2**64.
     """
     seed = integer(seed, "seed", 0, 2**64)
-    start, count = integer(start, "start", 0), integer(count, "count", 0)
+    start = integer(start, "start", 0, 2**63)
+    count = integer(count, "count", 0, 2**63 - start + 1)
     idx = np.arange(start, start + count, dtype=np.uint64)
     lo, hi = SAMPLE_DOMAIN
     ln_lo, ln_hi = math.log(lo), math.log(hi)
@@ -236,7 +239,7 @@ def _record(p, q, columns, i):
 
 def compare_at(p, q, x, y):
     """Evaluate the two sides at one scalar point; gap = lhs - rhs as stored."""
-    p, q = float(p), float(q)
+    p, q = finite(p, "p"), finite(q, "q")
     xx, yy = np.array([finite(x, "x")]), np.array([finite(y, "y")])
     return _record(p, q, _compare(((p, q),), xx, yy), 0)
 
@@ -387,27 +390,26 @@ def _verdict(expected, n_positive, n_negative):
     return "pass" if ok else "fail"
 
 
-def verify_region(params, n_samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, expected=None):
+def verify_region(params, n_samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
     """Randomized sign check of the comparison over the sampling window.
 
     Draws n_samples log-uniform pairs, counts gaps beyond the significance
-    threshold and grades the pattern against `expected` (classify(p, q)
-    unless overridden).  Deterministic for a fixed seed.  The window cannot
-    grade a "neither" cell whose turning radius r* lies beyond SAMPLE_DOMAIN:
-    it shows one gap sign only and fails, e.g. (-0.01, q) for q = -0.05, -1, -3.
+    threshold and grades the pattern against classify(p, q).  Deterministic
+    for a fixed seed.  The window cannot grade a "neither" cell whose
+    turning radius r* lies beyond SAMPLE_DOMAIN: it shows one gap sign
+    only and fails, e.g. (-0.01, q) for q = -0.05, -1, -3.
     """
     params = params if isinstance(params, HpqParams) else HpqParams(*params)
-    p, q = params.p, params.q
-    return next(_verify_grid(((p, q),), n_samples, seed, {(p, q): expected}))
+    n_samples, seed = _scan_args(n_samples, seed, "n_samples")
+    return next(_verify_grid(((params.p, params.q),), n_samples, seed, {}))
 
 
 def _verify_grid(cells, n_samples, seed, expected):
-    """Yield verify_region's report for every (p, q) cell, in order.
+    """verify_region over checked arguments: one report per (p, q) cell, in order.
 
     One scan serves all cells.  `expected` maps a cell (p, q) to its
     override of classify(p, q).
     """
-    n_samples, seed = _scan_args(n_samples, seed, "n_samples")
     for (p, q), part in zip(cells, _scan(cells, n_samples, seed)):
         cls = expected.get((p, q)) or classify(p, q)
         yield VerificationReport(
@@ -478,8 +480,8 @@ def _refine(cells, origins):
             f = fun(coord, probe)
             c, d = np.where(left, probe, d), np.where(left, c, probe)
             fc, fd = np.where(left, f, fd), np.where(left, fc, f)
-        t = np.where(fc >= fd, c, d)
-        val = fun(coord, t)
+        left = fc >= fd
+        t, val = np.where(left, c, d), np.where(left, fc, fd)
         point[coord] = np.where(val > best, t, point[coord])
         best = np.where(val > best, val, best)
     cols = columns(point)
@@ -607,20 +609,14 @@ def _lemma_check(p, q, r, values, expected, bound=math.inf):
     )
 
 
-def _lemma_grid(grid_size):
-    grid_size = integer(grid_size, "grid_size", 3)
-    lo, hi = _LEMMA_DOMAIN
-    return np.logspace(math.log10(lo), math.log10(hi), grid_size)
-
-
-def check_h_lemma(p, grid_size=10_000):
-    """Confirm the expected shape of h_p on a log grid over [1e-9, 1e9].
+def check_h_lemma(p):
+    """Confirm the expected shape of h_p on _LEMMA_GRID.
 
     p >= 0: strictly increasing; p <= -1: strictly decreasing; otherwise
     non-monotone with grid maximum at most c_of_p(p) + 1e-8.
     """
-    p = float(p)
-    r = _lemma_grid(grid_size)
+    p = finite(p, "p")
+    r = _LEMMA_GRID
     values = h_p(p, r)
     if p >= 0.0:
         return _lemma_check(p, None, r, values, "increasing")
@@ -638,14 +634,13 @@ _G_SHAPE = {
 }
 
 
-def check_g_lemma(p, q, grid_size=10_000):
-    """Confirm the expected monotonicity clause of g_pq on the log grid.
+def check_g_lemma(p, q):
+    """Confirm the expected monotonicity clause of g_pq on _LEMMA_GRID.
 
     The clause is the one classify(p, q) selects; evaluation runs in log
     space so extreme orders cannot overflow.
     """
-    p = float(p)
-    q = float(q)
-    r = _lemma_grid(grid_size)
+    p, q = finite(p, "p"), finite(q, "q")
+    r = _LEMMA_GRID
     ln_g = _ln_g(p, q, r, w0(r))[2]
     return _lemma_check(p, q, r, ln_g, _G_SHAPE[classify(p, q)])

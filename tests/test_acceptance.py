@@ -56,7 +56,7 @@ def test_criterion_2_h_lemma_suite():
     fixtures = (-2.0, -1.0, -0.9, -0.75, -0.5, -0.25, -0.1, 0.0, 0.5, 2.0)
     cell = (9.0 - (-9.0)) * math.log(10.0) / 9_999  # log-grid spacing
     for p in fixtures:
-        res = check_h_lemma(p, 10_000)
+        res = check_h_lemma(p)
         assert res.passed, res
         if -1.0 < p < 0.0:
             assert abs(res.grid_max - c_of_p(p)) <= 1e-6
@@ -85,7 +85,7 @@ def test_criterion_3_g_lemma_suite():
     assert len(fixtures) == 12
     assert -0.3 > c_of_p(-0.5) > -1.0
     for (p, q), expected in fixtures.items():
-        res = check_g_lemma(p, q, 10_000)
+        res = check_g_lemma(p, q)
         assert res.expected == expected, (p, q, res)
         assert res.passed, (p, q, res)
     elapsed = time.perf_counter() - t0
