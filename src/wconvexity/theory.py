@@ -61,6 +61,12 @@ class HpqParams:
             raise ValueError("p and q must be finite")
 
 
+def _h(p, w):
+    # h_p at w = W(r); takes w so a caller that holds a table of W skips w0.
+    wp1 = w + 1.0
+    return p * wp1 + w / wp1
+
+
 def h_p(p, r):
     """p * (W(r) + 1) + W(r) / (W(r) + 1) for r > 0.
 
@@ -69,9 +75,7 @@ def h_p(p, r):
     maximum c_of_p(p) before falling to -inf.
     """
     p = finite(p, "p")
-    w = np.asarray(w0(positive(r, "r")))
-    wp1 = w + 1.0
-    return like(p * wp1 + w / wp1, r)
+    return like(_h(p, np.asarray(w0(positive(r, "r")))), r)
 
 
 def f1(r):

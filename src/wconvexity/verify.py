@@ -21,10 +21,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._checks import finite, integer
+from ._checks import finite, integer, positive
 from .lambert import w0
 from .means import holder_mean, quartic_harmonic_form
-from .theory import ConvexityClass, HpqParams, _ln_g, c_of_p, classify, h_p
+from .theory import ConvexityClass, HpqParams, _h, _ln_g, c_of_p, classify
 
 __all__ = [
     "ComparisonRecord",
@@ -51,8 +51,9 @@ SIGNIFICANCE_REL = 1e-12
 SAMPLE_DOMAIN = (1e-6, 1e22)
 # Tie threshold for neighbour steps: lemma grid values, chain members.
 _STEP_SIGNIFICANCE = 1e-13
-# Log grid over [1e-9, 1e9] shared by the lemma checkers.
+# Log grid over [1e-9, 1e9] shared by the lemma checkers, and W on it.
 _LEMMA_GRID = np.logspace(-9.0, 9.0, 10_000)
+_LEMMA_W = w0(_LEMMA_GRID)
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_BUDGET = 100_000
@@ -240,7 +241,7 @@ def _record(p, q, columns, i):
 def compare_at(p, q, x, y):
     """Evaluate the two sides at one scalar point; gap = lhs - rhs as stored."""
     p, q = finite(p, "p"), finite(q, "q")
-    xx, yy = np.array([finite(x, "x")]), np.array([finite(y, "y")])
+    xx, yy = positive([finite(x, "x")], "x"), positive([finite(y, "y")], "y")
     return _record(p, q, _compare(((p, q),), xx, yy), 0)
 
 
@@ -547,8 +548,8 @@ def check_chain(x, y):
     All members coincide exactly when x == y; for x != y every inequality
     is strict.  Accepts scalars or arrays.
     """
-    wx = w0(x)
-    wy = w0(y)
+    x, y = positive(x, "x"), positive(y, "y")
+    wx, wy = w0(x), w0(y)
     a = w0(quartic_harmonic_form(x, y))
     b = holder_mean(0.0, wx, wy)
     c = w0(holder_mean(0.0, x, y))
@@ -563,25 +564,23 @@ def check_chain(x, y):
 
 @dataclass(frozen=True)
 class LemmaCheck:
-    """Grid verdict on the shape of h_p (q is None) or of ln g_pq.
+    """Verdict on the shape of h_p (q is None) or of ln g_pq over _LEMMA_GRID.
 
-    grid_max, at grid_argmax, is the largest checked value; passed needs
-    the expected shape and grid_max <= max_bound.
+    grid_max, at grid_argmax, is the largest checked value; passed needs the
+    expected shape and, for h_p with -1 < p < 0, grid_max <= c_of_p(p) + 1e-8.
     """
 
     p: float
     q: float | None
-    grid_size: int
     expected: str
     rises: int
     falls: int
     grid_max: float
     grid_argmax: float
-    max_bound: float
     passed: bool
 
 
-def _lemma_check(p, q, r, values, expected, bound=math.inf):
+def _lemma_check(p, q, values, expected, bound=math.inf):
     # Steps below the tie threshold are rounding noise, not monotonicity
     # evidence: near flat stretches adjacent values can round identically.
     diffs = np.diff(values)
@@ -598,13 +597,11 @@ def _lemma_check(p, q, r, values, expected, bound=math.inf):
     return LemmaCheck(
         p=p,
         q=q,
-        grid_size=r.size,
         expected=expected,
         rises=rises,
         falls=falls,
         grid_max=grid_max,
-        grid_argmax=float(r[i_max]),
-        max_bound=bound,
+        grid_argmax=float(_LEMMA_GRID[i_max]),
         passed=shape and grid_max <= bound,
     )
 
@@ -616,13 +613,12 @@ def check_h_lemma(p):
     non-monotone with grid maximum at most c_of_p(p) + 1e-8.
     """
     p = finite(p, "p")
-    r = _LEMMA_GRID
-    values = h_p(p, r)
+    values = _h(p, _LEMMA_W)
     if p >= 0.0:
-        return _lemma_check(p, None, r, values, "increasing")
+        return _lemma_check(p, None, values, "increasing")
     if p <= -1.0:
-        return _lemma_check(p, None, r, values, "decreasing")
-    return _lemma_check(p, None, r, values, "interior-max", c_of_p(p) + 1e-8)
+        return _lemma_check(p, None, values, "decreasing")
+    return _lemma_check(p, None, values, "interior-max", c_of_p(p) + 1e-8)
 
 
 # g_pq increases exactly where W is convex for (p, q), decreases exactly
@@ -641,6 +637,5 @@ def check_g_lemma(p, q):
     space so extreme orders cannot overflow.
     """
     p, q = finite(p, "p"), finite(q, "q")
-    r = _LEMMA_GRID
-    ln_g = _ln_g(p, q, r, w0(r))[2]
-    return _lemma_check(p, q, r, ln_g, _G_SHAPE[classify(p, q)])
+    ln_g = _ln_g(p, q, _LEMMA_GRID, _LEMMA_W)[2]
+    return _lemma_check(p, q, ln_g, _G_SHAPE[classify(p, q)])

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wconvexity import verify
-from wconvexity.theory import ConvexityClass, HpqParams, classify
+from wconvexity import lambert, theory, verify
+from wconvexity.theory import ConvexityClass, HpqParams, _ln_g, classify, h_p
 from wconvexity.verify import (
     CASE_FIXTURES,
     GRID_AXIS,
@@ -179,10 +179,20 @@ def test_compare_at_takes_one_finite_point(x, y, error):
         compare_at(2.0, 3.0, x, y)
 
 
-@pytest.mark.parametrize("p,q,name", [(1.0, math.nan, "q"), (math.inf, 1.0, "p")])
-def test_compare_at_names_the_order_that_is_not_finite(p, q, name):
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        compare_at(p, q, 1.0, 2.0)
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((1.0, math.nan, 1.0, 2.0), "q must be finite"),
+        ((math.inf, 1.0, 1.0, 2.0), "p must be finite"),
+        ((-0.5, -1.0, -1.0, 2.0), "x must be > 0"),
+        ((-0.5, -1.0, 2.0, 0.0), "y must be > 0"),
+    ],
+    ids=["1.0-nan-q", "inf-1.0-p", "negative-x", "zero-y"],
+)
+def test_compare_at_names_the_order_that_is_not_finite(args, message):
+    # Every argument is checked under its own name, before any work.
+    with pytest.raises(ValueError, match=f"^{message}"):
+        compare_at(*args)
 
 
 # ---------------------------------------------------------------- verify_region
@@ -670,6 +680,19 @@ def test_chain_vectorized():
     assert np.all(a <= b + tol) and np.all(b <= c + tol) and np.all(c <= d + tol)
 
 
+@pytest.mark.parametrize(
+    "x,y,message",
+    [
+        (-1.0, 2.0, "x must be > 0"),
+        (np.array([1.0, -2.0]), 1.0, "x must be > 0"),
+        (2.0, math.nan, "y must be finite"),
+    ],
+)
+def test_check_chain_names_the_coordinate_that_is_wrong(x, y, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        check_chain(x, y)
+
+
 # ---------------------------------------------------------------- lemma checks
 
 
@@ -748,6 +771,44 @@ def _exact_lemma_clause(p, q=None):
         return "non-monotone"
     assert changes == 1 and poly.LC() < 0  # h_p rises, then falls
     return "interior-max"
+
+
+def _graded(values):
+    # (rises, falls, grid_max, grid_argmax) of values over the lemma grid.
+    steps = np.diff(values)
+    tau = significance_threshold(values[:-1], values[1:], verify._STEP_SIGNIFICANCE)
+    i = int(np.argmax(values))
+    return int(np.sum(steps > tau)), int(np.sum(steps < -tau)), float(values[i]), float(verify._LEMMA_GRID[i])
+
+
+def _fields(res):
+    return res.rises, res.falls, res.grid_max, res.grid_argmax
+
+
+def test_lemma_table_is_w0_of_the_lemma_grid():
+    assert verify._LEMMA_W.tobytes() == lambert.w0(verify._LEMMA_GRID).tobytes()
+
+
+@pytest.mark.parametrize("p", [*H_LEMMA_FIXTURES, -0.005, 1e-300, 3.0])
+def test_check_h_lemma_grades_h_p_on_the_lemma_grid(p):
+    assert _fields(check_h_lemma(p)) == _graded(h_p(p, verify._LEMMA_GRID))
+
+
+@pytest.mark.parametrize("p,q", G_LEMMA_FIXTURES)
+def test_check_g_lemma_grades_ln_g_on_the_lemma_grid(p, q):
+    r = verify._LEMMA_GRID
+    assert _fields(check_g_lemma(p, q)) == _graded(_ln_g(p, q, r, lambert.w0(r))[2])
+
+
+def test_lemma_checks_call_no_w0(monkeypatch):
+    calls = []
+    for module in (verify, theory):
+        monkeypatch.setattr(module, "w0", lambda z: calls.append(np.size(z)) or lambert.w0(z))
+    for p in H_LEMMA_FIXTURES:
+        check_h_lemma(p)
+    for p, q in G_LEMMA_FIXTURES:
+        check_g_lemma(p, q)
+    assert calls == []
 
 
 def test_h_lemma_clauses_are_exact():
