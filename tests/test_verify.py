@@ -347,11 +347,11 @@ def test_w0_calls_per_chunk(monkeypatch, chunk, n, chunks):
     points, real_compare_at = [], verify.compare_at
     monkeypatch.setattr(verify, "compare_at", lambda *a: points.append(a) or real_compare_at(*a))
     find_counterexamples(HpqParams(-0.5, -1.0), n, 42)
-    assert len(calls) == 3 * chunks + 46  # the scan, then one call per lockstep step
+    assert len(calls) == 3 * chunks + 11  # the scan, then one polish of 11 _compare calls
     assert points == []
     calls.clear()
     _counterexamples(NEITHER_FIXTURES, n, 42)
-    assert len(calls) == 6 * chunks + 46  # W(H_p) per cell, W(x), W(y); one lockstep polish
+    assert len(calls) == 6 * chunks + 11  # W(H_p) per cell, W(x), W(y); one lockstep polish
     assert points == []
 
 
@@ -611,19 +611,69 @@ def test_lockstep_search_falls_back_per_direction(kept):
     )
 
 
-@pytest.mark.parametrize("seed", [42, 7, 20250825])
-def test_one_polish_over_all_fixtures_equals_scalar_searches(seed):
-    origins = [
-        origin
-        for part in _scan(NEITHER_FIXTURES, 5_000, seed)
-        for origin in (part.top[0], part.bottom[0])
-    ]
-    expected = tuple(
+def _scan_origins(cells, budget, seed):
+    return [origin for part in _scan(cells, budget, seed) for origin in (part.top[0], part.bottom[0])]
+
+
+def _scalar_polish(cells, origins):
+    # _refine's result as one scalar reference search per direction.
+    return tuple(
         _refine_reference(p, q, origins[2 * j + k], sign)
-        for j, (p, q) in enumerate(NEITHER_FIXTURES)
+        for j, (p, q) in enumerate(cells)
         for k, sign in enumerate((+1.0, -1.0))
     )
-    assert _refine(NEITHER_FIXTURES, origins) == expected
+
+
+@pytest.mark.parametrize("seed", [42, 7, 20250825])
+def test_one_polish_over_all_fixtures_equals_scalar_searches(seed):
+    origins = _scan_origins(NEITHER_FIXTURES, 5_000, seed)
+    assert _refine(NEITHER_FIXTURES, origins) == _scalar_polish(NEITHER_FIXTURES, origins)
+
+
+def test_one_polish_over_every_neither_cell_equals_scalar_searches():
+    axis = sorted({*GRID_AXIS, 0.5, 3.0})
+    cells = tuple(cell for cell in itertools.product(axis, axis) if classify(*cell) is NEITHER)
+    assert len(cells) == 40
+    origins = _scan_origins(cells, 5_000, 42)
+    assert _refine(cells, origins) == _scalar_polish(cells, origins)
+
+
+def _tied_compare(cells, x, y):
+    # Stands in for verify._compare: a gap that is piecewise constant in
+    # ln x and ln y, so golden-section values tie often, and NaN where
+    # 0.5 < ln x < 0.9.
+    u, v = np.log(x), np.log(y)
+    gap = np.floor(4.0 * u) % 3.0 - np.floor(3.0 * v) % 2.0
+    gap[(u > 0.5) & (u < 0.9)] = np.nan
+    return x, y, gap, np.zeros_like(gap), gap
+
+
+@pytest.mark.parametrize("kept", [None, 0, 3])
+def test_lockstep_search_replays_ties_and_nan_like_the_scalar_search(monkeypatch, kept):
+    # fc >= fd is False where either value is NaN: the search must branch
+    # exactly as the scalar search does there and on every tie.
+    monkeypatch.setattr(verify, "_compare", _tied_compare)
+    cells = NEITHER_FIXTURES[:2]
+    logs = ((0.2, 1.1), (1.3, -0.4), (0.45, 2.0), (-0.6, 0.3))
+    origins = [
+        compare_at(*cells[i // 2], math.exp(u), math.exp(v)) for i, (u, v) in enumerate(logs)
+    ]
+    if kept is not None:
+        origins[kept] = dataclasses.replace(origins[kept], gap=(1e300, -1e300)[kept % 2])
+    got = _refine(cells, origins)
+    assert repr(got) == repr(_scalar_polish(cells, origins))
+    assert kept is None or got[kept] is origins[kept]
+
+
+def test_one_polish_makes_eleven_compare_calls(monkeypatch):
+    # Origin plus coordinate 0's first two probes, four lookahead calls of
+    # 31 points per direction, coordinate 1's first two probes, four more,
+    # and the final point: 11 calls over the 8 directions of the fixtures.
+    origins = _scan_origins(NEITHER_FIXTURES, 5_000, 42)
+    sizes, real_compare = [], verify._compare
+    monkeypatch.setattr(verify, "_compare", lambda cells, x, y: sizes.append(x.size) or real_compare(cells, x, y))
+    _refine(NEITHER_FIXTURES, origins)
+    assert sizes == [8 * 3] + [8 * 31] * 4 + [8 * 2] + [8 * 31] * 4 + [8]
 
 
 def test_batched_search_mixes_found_and_exhausted_cells():
