@@ -1,13 +1,11 @@
 """Region raster over a (p, q) window: CSV data contract plus an SVG map.
 
-The CSV (header ``p,q,class``, shortest round-trip decimals, one row per
-cell) is the machine-readable artifact; the SVG is a fixed 800x800 visual
-with one fill colour per class and the boundary curve q = 1 - 2*sqrt(-p)
-drawn over -1 < p < 0.  Each distinct p and q is formatted once, not once
-per cell; a signed zero keeps its sign in the CSV.
+The CSV is the machine-readable artifact, the SVG a fixed 800x800 visual;
+both writers format each distinct p and q once, not once per cell.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ._checks import finite
@@ -53,8 +51,31 @@ def _axis(lo, hi, step):
     return values
 
 
+def _column(p, qs):
+    # One p-column, one class run at a time: classify the run's first q, then
+    # bisect the rest of the axis for the first q of another class.
+    cells, start = [], 0
+    while start < len(qs):
+        cls = classify(p, qs[start])
+        end = bisect_left(qs, True, start + 1, key=lambda q: classify(p, q) is not cls)
+        cells += [(p, q, cls) for q in qs[start:end]]
+        start = end
+    return cells
+
+
 def build_raster(p_min, p_max, q_min, q_max, step):
-    """Classify the closed lattice (inclusive of both endpoints)."""
+    """Classify the closed lattice (inclusive of both endpoints).
+
+    ``classify`` is the only rule: the cells are those it gives at every
+    lattice point, but it is called only at the probes of a bisection.
+    By the main theorem, at a fixed p the class changes only at q = p (for
+    p <= -1 or p > 0), at q = 1 - 2*sqrt(-p) (for -1 < p < 0), or at q = 0
+    and q = 1 (for p = 0), and never returns to a class it left; so along
+    the non-decreasing q axis each column is at most three runs.  Each run
+    takes one call at its first q and one bisection for its end.  That is
+    exact because ``classify`` decides each boundary exactly for the
+    doubles it is given, the curve included, and -0.0 like 0.0.
+    """
     p_min, p_max, q_min, q_max, step = (
         finite(v, "raster window and step") for v in (p_min, p_max, q_min, q_max, step)
     )
@@ -63,11 +84,17 @@ def build_raster(p_min, p_max, q_min, q_max, step):
     if step <= 0.0:
         raise ValueError("step must be > 0")
     qs = _axis(q_min, q_max, step)
-    cells = tuple((p, q, classify(p, q)) for p in _axis(p_min, p_max, step) for q in qs)
+    cells = tuple(cell for p in _axis(p_min, p_max, step) for cell in _column(p, qs))
     return RegionRaster(p_min=p_min, p_max=p_max, q_min=q_min, q_max=q_max, step=step, cells=cells)
 
 
 def write_csv(raster, path):
+    """Write the cells to ``path`` as UTF-8 CSV with "\\n" line ends.
+
+    The header ``p,q,class``, then one row per cell in cell order: p and q
+    as their shortest round-trip repr (a zero keeps its sign) and the class
+    label.  The text ends with a newline.
+    """
     # 0.0 == -0.0 as dict keys, so a zero takes its own repr, never a cached one.
     text = {v: repr(v) for v in {c[0] for c in raster.cells} | {c[1] for c in raster.cells}}
     lines = ["p,q,class"] + [
@@ -79,6 +106,15 @@ def write_csv(raster, path):
 
 
 def write_svg(raster, path):
+    """Write the 800x800 region map to ``path`` as UTF-8 SVG, one element a line.
+
+    A white background, then one rect per cell in cell order, its position
+    and size to two decimals and its fill the class colour; then the curve
+    q = 1 - 2*sqrt(-p) over the part of -1 < p < 0 in the plot (when at
+    least two of its 257 points lie in it), the frame, integer ticks, the
+    axis labels and the legend.  The bytes depend only on the window, the
+    step and the cells; the text ends with a newline.
+    """
     half = raster.step / 2.0
     x_lo, x_hi = raster.p_min - half, raster.p_max + half
     y_lo, y_hi = raster.q_min - half, raster.q_max + half

@@ -1,5 +1,8 @@
-"""Raster output tests: pinned digests and a per-cell reference formatter.
+"""Raster tests: pinned digests, a per-cell classifier and a per-cell formatter.
 
+`build_raster` classifies each p-column one class run at a time, bisecting
+for each run's end; the per-cell reference below calls `classify` at every
+lattice point, so any window where the two differ in one cell fails here.
 `write_csv` and `write_svg` format each distinct p and q once.  The reference
 below formats every cell on its own, with the two f-strings the writers used
 before that, so any window where the two differ by one byte fails here.
@@ -9,6 +12,7 @@ import dataclasses
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wconvexity import raster
 from wconvexity.cli import run
@@ -118,3 +122,59 @@ def test_zeros_of_both_signs_within_one_axis(tmp_path):
     points = [row.rsplit(",", 1)[0] for row in (tmp_path / "map.csv").read_text().splitlines()]
     assert points[1:4] == ["0.0,-0.0", "0.0,1.0", "0.0,0.0"]
     assert points[7:10] == ["-0.0,-0.0", "-0.0,1.0", "-0.0,0.0"]
+
+
+def per_cell_reference(p_min, p_max, q_min, q_max, step):
+    qs = raster._axis(q_min, q_max, step)
+    return tuple((p, q, classify(p, q)) for p in raster._axis(p_min, p_max, step) for q in qs)
+
+
+def assert_classified_per_cell(window, step):
+    got = raster.build_raster(*window, step).cells
+    want = per_cell_reference(*window, step)
+    assert got == want
+    assert repr(got) == repr(want)  # signed zeros too
+
+
+@pytest.mark.parametrize(
+    "window, step",
+    [
+        ((-0.5, 0.5, -1.0, 2.0), 0.25),  # p = 0: concave, neither, convex
+        ((-1.5, -0.5, -2.0, 1.0), 0.25),  # p = -1, where C(p) = p
+        ((-1.0, -0.0, -1.0, 1.0), 0.5),  # p = -0.0 snapped onto the window edge
+        ((-0.5, 0.0, -0.0, 1.0), 0.25),  # q axis from -0.0
+        ((-0.25, -0.25, -1.0, 1.0), 0.25),  # on the curve at (-0.25, 0.0)
+        ((-0.0625, -0.0625, 0.0, 1.0), 0.0625),  # on the curve at (-0.0625, 0.5)
+        ((0.3, 0.3, 0.2, 0.2), 1.0),  # one cell
+        ((1.0, 2.0, -3.0, 0.0), 0.5),  # inside one class (concave)
+        ((-1.3, 0.45, -2.2, 1.7), 0.3),  # a step that does not divide the window
+    ],
+)
+def test_build_raster_equals_per_cell_classify(window, step):
+    assert_classified_per_cell(window, step)
+
+
+# Window edges and steps that land lattice points on the boundaries, or not.
+_EDGES = st.one_of(st.sampled_from([-1.0, -0.25, -0.0625, -0.0, 0.0]), st.floats(-4.0, 4.0))
+_STEPS = st.one_of(st.sampled_from([0.0625, 0.05, 0.25]), st.floats(1e-3, 1.0))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_STEPS, _EDGES, st.floats(0.0, 30.0), _EDGES, st.floats(0.0, 60.0))
+def test_build_raster_equals_per_cell_classify_on_drawn_windows(step, p_min, p_cells, q_min, q_cells):
+    assert_classified_per_cell((p_min, p_min + p_cells * step, q_min, q_min + q_cells * step), step)
+
+
+@pytest.mark.parametrize(
+    "shift, calls",
+    [((0, 0), 1_677), ((10, -10), 1_525), ((-10, 10), 1_592)],
+)
+def test_default_window_classifies_by_bisection(monkeypatch, shift, calls):
+    # The first q of each class run plus one bisection for its end, per
+    # p-column; the per-cell build made 14,641 calls on each of these windows.
+    counted, real_classify = [], classify
+    monkeypatch.setattr(raster, "classify", lambda p, q: counted.append(None) or real_classify(p, q))
+    sp, sq = (0.05 * k for k in shift)
+    r = raster.build_raster(-3.0 + sp, 3.0 + sp, -3.0 + sq, 3.0 + sq, 0.05)
+    assert len(r.cells) == 14_641
+    assert len(counted) == calls < 2_000

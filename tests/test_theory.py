@@ -19,6 +19,7 @@ from wconvexity.theory import (
     h_p,
     h_p_argmax,
 )
+from wconvexity.verify import GRID_AXIS
 
 from test_lambert import OMEGA
 
@@ -400,3 +401,33 @@ def test_params_reject_non_finite():
         HpqParams(math.nan, 1.0)
     with pytest.raises(ValueError):
         HpqParams(1.0, math.inf)
+
+
+def _doubles_around(v, k=3):
+    # v and the k doubles on each side of it.
+    out = [v]
+    lo = hi = v
+    for _ in range(k):
+        lo, hi = _down(lo), _up(hi)
+        out += [lo, hi]
+    return out
+
+
+# -0.0 joins after the set, which would keep only one of the two zeros.
+@pytest.mark.parametrize("p", sorted(set(GRID_AXIS) | {-1.0, -0.0625, -1e-300}) + [-0.0])
+def test_classify_is_at_most_three_runs_along_q(p):
+    # The main theorem's boundaries at a fixed p: q = p for p <= -1 (convex on
+    # and above) and for p > 0 (concave on and below); q = C(p) = 1 - 2*sqrt(-p)
+    # for -1 < p < 0 (convex on and above); q = 0 and q = C(0) = 1 for p = 0
+    # (concave on and below 0, convex on and above 1).  So along increasing q
+    # the class changes at most twice and never returns to a class it left,
+    # which is what lets build_raster bisect each column for its runs.
+    edges = [p, -0.0, 0.0, 1.0] + ([c_of_p(p)] if -1.0 <= p <= 0.0 else [])
+    qs = np.linspace(-5.0, 5.0, 4_001).tolist() + [q for e in edges for q in _doubles_around(e)]
+    qs.sort(key=lambda q: (q, math.copysign(1.0, q)))  # -0.0 before 0.0
+    runs = []
+    for q in qs:
+        cls = classify(p, q)
+        if not runs or runs[-1] is not cls:
+            runs.append(cls)
+    assert len(runs) <= 3 and len(set(runs)) == len(runs), runs
