@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -374,6 +376,60 @@ def test_chunk_size_does_not_change_results(monkeypatch, cell, seed, chunk, n):
     monkeypatch.setattr(verify, "_CHUNK", chunk)
     assert verify_region(params, n, seed) == expected[0]
     assert find_counterexamples(params, n, seed) == expected[1]
+
+
+def _scan_on(monkeypatch, workers, w0):
+    # Reports and witnesses of 200-sample scans on `workers` threads, and
+    # the threads other than this one that called w0.
+    threads = set()
+    monkeypatch.setattr(verify, "_workers", lambda: workers)
+    monkeypatch.setattr(verify, "w0", lambda z: threads.add(threading.get_ident()) or w0(z))
+    reports = [verify_region(HpqParams(p, q), 200, 42).to_json() for p, q, _ in CASE_FIXTURES[:3]]
+    pairs = [find_counterexamples(HpqParams(*cell), 200, 42) for cell in NEITHER_FIXTURES]
+    return (reports, pairs), threads - {threading.get_ident()}
+
+
+# W rounded up to whole numbers ties many |gap| across chunks, so a merge
+# out of sample order would keep other worst records.
+@pytest.mark.parametrize("w0", [lambert.w0, lambda z: np.ceil(lambert.w0(z))], ids=["w0", "tied"])
+def test_worker_count_does_not_change_results(monkeypatch, w0):
+    # 29 chunks on eight threads, more than there are CPUs, switching as
+    # often as the interpreter lets them: the calling thread merges in
+    # sample order.
+    monkeypatch.setattr(verify, "_CHUNK", 7)
+    expected, helpers = _scan_on(monkeypatch, 1, w0)
+    assert helpers == set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results, helpers = _scan_on(monkeypatch, 8, w0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+    assert helpers
+
+
+def test_scan_error_reaches_the_caller_and_stops_the_workers(monkeypatch):
+    monkeypatch.setattr(verify, "_CHUNK", 7)
+    monkeypatch.setattr(verify, "_workers", lambda: 8)
+    error, calls, real_w0 = RuntimeError("no convergence"), itertools.count(), verify.w0
+
+    def failing_w0(z):
+        # The sixth call fails while later chunks are still pending.
+        if next(calls) == 5:
+            raise error
+        return real_w0(z)
+
+    monkeypatch.setattr(verify, "w0", failing_w0)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        verify_region(HpqParams(-0.5, -1.0), 200, 42)
+    assert info.value is error
+    assert threading.active_count() == threads
+
+
+def test_one_chunk_scans_on_the_calling_thread(monkeypatch):
+    assert _scan_on(monkeypatch, 8, lambert.w0)[1] == set()
 
 
 def test_compare_at_replays_report_records(p=-3.0, q=-3.0):
