@@ -22,15 +22,6 @@ _EXPONENT_GUARD = 700.0
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-def _geometric(rr, ss):
-    # sqrt(r*s) where the product stays in the normal double range (it is
-    # exact for exact products like 2*8), split sqrt otherwise.
-    with np.errstate(over="ignore", under="ignore"):
-        prod = rr * ss
-    normal = (prod >= _TINY) & np.isfinite(prod)
-    return np.where(normal, np.sqrt(np.where(normal, prod, 1.0)), np.sqrt(rr) * np.sqrt(ss))
-
-
 def holder_mean(p, r, s):
     """Power mean of order p of two positive reals.
 
@@ -44,17 +35,20 @@ def holder_mean(p, r, s):
     rr, ss = map(np.ascontiguousarray, np.broadcast_arrays(positive(r, "r"), positive(s, "s")))
     lo, hi = np.minimum(rr, ss), np.maximum(rr, ss)
 
-    if p == 0.0:
-        out = _geometric(rr, ss)
-    elif abs(p) < _SMALL_P:
-        d = np.log(rr) - np.log(ss)
-        out = _geometric(rr, ss) * np.exp(np.log1p(2.0 * np.sinh(p * d / 4.0) ** 2) / p)
-    else:
-        # |p ln r| or |p ln s| beyond the guard; ln is monotone, so the larger
-        # of the two is |p| * max(-ln lo, ln hi).
-        use_stable = abs(p) * np.maximum(-np.log(lo), np.log(hi)) > _EXPONENT_GUARD
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        if abs(p) < _SMALL_P:
+            # sqrt(r*s) where the product stays in the normal double range (it
+            # is exact for exact products like 2*8), split sqrt otherwise.
+            prod = rr * ss
+            normal = (prod >= _TINY) & np.isfinite(prod)
+            out = np.where(normal, np.sqrt(np.where(normal, prod, 1.0)), np.sqrt(rr) * np.sqrt(ss))
+            if p:
+                d = np.log(rr) - np.log(ss)
+                out = out * np.exp(np.log1p(2.0 * np.sinh(p * d / 4.0) ** 2) / p)
+        else:
             out = ((rr**p + ss**p) / 2.0) ** (1.0 / p)
+            # ln is monotone, so the larger of |p ln r|, |p ln s| is |p| * max(-ln lo, ln hi).
+            use_stable = abs(p) * np.maximum(-np.log(lo), np.log(hi)) > _EXPONENT_GUARD
             if use_stable.any():
                 # Factor out the dominant argument: base * ((1 + t) / 2)**(1/p)
                 # with t = (lo/hi)**|p| <= 1 keeps a few ulp for any |ln H|.
@@ -63,8 +57,8 @@ def holder_mean(p, r, s):
                 log_half_sum = np.log1p(np.expm1(-abs(p) * np.log(hi / lo)) / 2.0)
                 out = np.where(use_stable, base * np.exp(log_half_sum / p), out)
 
-    out = np.minimum(np.maximum(out, lo), hi)
-    return like(np.where(rr == ss, rr, out), r, s)
+    # Equal arguments give lo == hi, so the clamp returns them exactly.
+    return like(np.minimum(np.maximum(out, lo), hi), r, s)
 
 
 def quartic_harmonic_form(x, y):

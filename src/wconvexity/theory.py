@@ -57,8 +57,8 @@ class HpqParams:
     q: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.p) and math.isfinite(self.q)):
-            raise ValueError("p and q must be finite")
+        object.__setattr__(self, "p", finite(self.p, "p"))
+        object.__setattr__(self, "q", finite(self.q, "q"))
 
 
 def _h(p, w):
@@ -100,19 +100,18 @@ def g_pq(p, q, r):
 
     Always positive; its logarithmic derivative is
     (q - h_p(r)) / (r * (W(r) + 1)).  Values outside the normal double
-    range raise OverflowError instead of returning inf or 0.
+    range raise OverflowError instead of returning inf, 0 or nan.
     """
     p = finite(p, "p")
     q = finite(q, "q")
     # Contiguous because NumPy's power can round strided input differently.
     arr = np.ascontiguousarray(positive(r, "r"))
     w = np.asarray(w0(arr))
-    a, b, ln_val = _ln_g(p, q, arr, w)
-    if np.any(ln_val > _LN_MAX):
-        raise OverflowError("g_pq overflows the double range")
-    if np.any(ln_val < _LN_TINY):
-        raise OverflowError("g_pq underflows the double range")
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        a, b, ln_val = _ln_g(p, q, arr, w)
+        # NaN fails this too: it arises as inf - inf at extreme orders.
+        if not np.all((ln_val >= _LN_TINY) & (ln_val <= _LN_MAX)):
+            raise OverflowError("g_pq leaves the normal double range")
         direct = w**q / (arr**p * (w + 1.0))
     safe = (np.abs(a) < _EXPONENT_GUARD) & (np.abs(b) < _EXPONENT_GUARD) & np.isfinite(direct)
     return like(np.where(safe, direct, np.exp(ln_val)), r)

@@ -1,7 +1,9 @@
 """CLI tests: subcommand grammar, exit codes, file outputs, public names."""
 
 import hashlib
+import itertools
 import json
+import warnings
 
 import pytest
 
@@ -192,6 +194,29 @@ def test_selftest_output_is_pinned(capsys, argv, exit_code, digest):
     code, out, _ = invoke(capsys, ["selftest", *argv])
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_EXTREME_ORDERS = (1e308, -1e308, 1e-320, -1e-320, 0.0, -0.0, 2.0, -3.0)
+
+
+def _extreme_order_calls():
+    for p, q in itertools.product(_EXTREME_ORDERS, repeat=2):
+        yield ["classify", "--", repr(p), repr(q)]
+        yield ["verify", "--samples", "500", "--", repr(p), repr(q)]
+        yield ["counterexample", "--budget", "500", "--", repr(p), repr(q)]
+    for p, r in itertools.product(_EXTREME_ORDERS, (5e-324, 1.7976931348623157e308, 1.0)):
+        yield ["eval", "mean", "--", repr(p), repr(r), repr(r)]
+
+
+def test_extreme_orders_exit_cleanly(capsys):
+    # A RuntimeWarning raises out of run here instead of reaching stderr.
+    calls = list(_extreme_order_calls())
+    assert len(calls) == 216
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in calls:
+            code, _, _ = invoke(capsys, argv)
+            assert code in (0, 1, 2), argv
 
 
 def test_package_names_are_the_module_lists():

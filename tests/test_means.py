@@ -1,6 +1,7 @@
 """Power-mean tests: special orders, limits, symmetry, stability."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,25 @@ def test_extreme_orders_stay_between():
         v = holder_mean(p, 1e-5, 2.0)
         assert 1e-5 <= v <= 2.0
         assert math.isfinite(v)
+    # |p| * ln 10 overflows to inf in the guard; no RuntimeWarning may escape.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert holder_mean(1e308, 2.0, 10.0) == 10.0
+        assert holder_mean(-1e308, 2.0, 10.0) == 2.0
+
+
+_EDGE_ORDERS = (0.0, -0.0, 1e-320, -1e-320, 9.99e-6, -9.99e-6, 1e-5, -1e-5, 1e308, -1e308)
+_EDGE_ARGUMENTS = (5e-324, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("p", _EDGE_ORDERS)
+def test_equal_arguments_come_back_bit_for_bit(p):
+    # The clamp to [lo, hi] alone returns r when r == s, on either branch.
+    r = np.array(_EDGE_ARGUMENTS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(holder_mean(p, r, r).view(np.uint64), r.view(np.uint64))
+        assert all(holder_mean(p, x, x) == x for x in _EDGE_ARGUMENTS)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])

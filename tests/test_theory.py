@@ -135,6 +135,12 @@ def test_g_pq_out_of_range_raises():
         g_pq(0.0, 40.0, 1e-9)  # underflows past the normal range
     with pytest.raises(ValueError):
         g_pq(1.0, 1.0, -1.0)
+    # q ln W - p ln r is inf - inf here; NaN fails the range check, silently.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1e308, -1e308):
+            with pytest.raises(OverflowError, match="normal double range"):
+                g_pq(p, p, 1e10)
 
 
 @pytest.mark.parametrize(
@@ -397,9 +403,9 @@ def test_classify_matches_predicates(p, q):
 
 
 def test_params_reject_non_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p must be finite"):
         HpqParams(math.nan, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^q must be finite"):
         HpqParams(1.0, math.inf)
 
 

@@ -110,6 +110,19 @@ def test_integral_arguments_of_any_integer_type_are_accepted():
     report = verify_region((2.0, 1.0), np.int64(100), np.uint64(7))
     assert report.to_json() == verify_region((2.0, 1.0), 100, 7).to_json()
     assert type(report.n_samples) is int and type(report.seed) is int
+    # Orders come out as floats, whatever type the caller passes.
+    for cell, floats in [
+        ((2, 1), (2.0, 1.0)),
+        ((np.int64(2), 1), (2.0, 1.0)),
+        ((np.float32(2), np.int8(1)), (2.0, 1.0)),
+        ((True, 1), (1.0, 1.0)),
+    ]:
+        report = verify_region(cell, 100, 7)
+        assert report.to_json() == verify_region(floats, 100, 7).to_json()
+        assert type(report.params.p) is float and type(report.params.q) is float
+    pair = find_counterexamples((2, 3), 10_000, 42)
+    assert pair == find_counterexamples((2.0, 3.0), 10_000, 42)
+    assert type(pair.violates_convexity.p) is float and type(pair.violates_concavity.q) is float
 
 
 def _mass_above(r):
