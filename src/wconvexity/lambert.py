@@ -155,8 +155,9 @@ def w0(z):
 def w0_prime(z):
     """Derivative of w0: W(z) / (z * (W(z) + 1)), for z > 0.
 
-    Positive and strictly decreasing on (0, inf).
+    Positive and strictly decreasing on (0, inf).  Divides by z last:
+    z * (W(z) + 1) overflows near the largest double, where W' is subnormal.
     """
     arr = positive(z, "z")
     w = w0(arr)
-    return like(w / (arr * (w + 1.0)), z)
+    return like((w / (w + 1.0)) / arr, z)

@@ -121,13 +121,12 @@ def _selftest_checks(samples, seed, inject_fault):
     for p, q in G_LEMMA_FIXTURES:
         res = check_g_lemma(p, q)
         yield res.passed, f"g-lemma p={p:g} q={q:g} ({res.expected}: {res.rises} up / {res.falls} down)"
-    overrides = {(1.0, 1.0): ConvexityClass.STRICTLY_CONVEX} if inject_fault else {}
     cells = tuple(itertools.product(GRID_AXIS, GRID_AXIS))
-    for report in _verify_grid(cells, samples, seed, overrides):
+    for (p, q), part in zip(cells, _scan(cells, samples, seed, records=False)):
+        cls = ConvexityClass.STRICTLY_CONVEX if inject_fault and (p, q) == (1.0, 1.0) else classify(p, q)
         yield (
-            report.verdict == "pass",
-            f"region p={report.params.p:g} q={report.params.q:g} ({report.expected.value}: "
-            f"{report.n_gap_positive} pos / {report.n_gap_negative} neg)",
+            _verdict(cls, part.positive, part.negative) == "pass",
+            f"region p={p:g} q={q:g} ({cls.value}: {part.positive} pos / {part.negative} neg)",
         )
     budget = 10 * samples
     for (p, q), pair in zip(NEITHER_FIXTURES, _counterexamples(NEITHER_FIXTURES, budget, seed)):
@@ -310,29 +309,27 @@ def _ranked(records, k):
     return tuple(sorted(records, key=lambda rec: -abs(rec.gap))[:k])
 
 
-def _cell_part(p, q, x, y, lhs, rhs):
-    """One cell's _Part from its x, y, lhs and rhs columns."""
+def _cell_part(p, q, x, y, lhs, rhs, records):
+    """One cell's _Part; records=False counts signs only, with no worst, top or bottom."""
     gap = lhs - rhs
-    columns = (x, y, lhs, rhs, gap)
     tol = significance_threshold(lhs, rhs)
-    abs_gap = np.abs(gap)
     positive = gap > tol
     negative = gap < -tol
+    counts = int(np.count_nonzero(positive)), int(np.count_nonzero(negative))
+    if not records:
+        return _Part(*counts, (), (), ())
+    columns = (x, y, lhs, rhs, gap)
+    abs_gap = np.abs(gap)
 
     def extreme(mask):
         i = np.argmax(np.where(mask, abs_gap, -1.0))
         return (_record(p, q, columns, i),) if mask[i] else ()
 
-    return _Part(
-        positive=int(np.sum(positive)),
-        negative=int(np.sum(negative)),
-        worst=tuple(_record(p, q, columns, i) for i in _top_k(abs_gap, _WORST_KEPT)),
-        top=extreme(positive),
-        bottom=extreme(negative),
-    )
+    worst = tuple(_record(p, q, columns, i) for i in _top_k(abs_gap, _WORST_KEPT))
+    return _Part(*counts, worst, extreme(positive), extreme(negative))
 
 
-def _scan_part(cells, seed, start, count):
+def _scan_part(cells, seed, start, count, records=True):
     """Scan samples [start, start+count) into one _Part per (p, q) cell.
 
     W(H_p(x, y)) is taken once per distinct p, W(x) and W(y) once, and
@@ -353,7 +350,7 @@ def _scan_part(cells, seed, start, count):
             columns["q", q] = holder_mean(q, *w)
             todo_q.discard(q)
             w = w if todo_q else None
-        parts.append(_cell_part(p, q, x, y, columns["p", p], columns["q", q]))
+        parts.append(_cell_part(p, q, x, y, columns["p", p], columns["q", q], records))
         # A dropped column keeps its key, so it is never made again.
         columns.update((key, None) for key in zip("pq", (p, q)) if last[key] == i)
     return parts
@@ -391,7 +388,7 @@ def _workers():
     return os.cpu_count() or 1
 
 
-def _scan(cells, n, seed):
+def _scan(cells, n, seed, records=True):
     """Samples [0, n) in chunks of _CHUNK, merged into one _Part per cell.
 
     The chunks run on up to _workers() threads, one chunk per thread at a
@@ -403,7 +400,7 @@ def _scan(cells, n, seed):
     starts = range(0, n, _CHUNK)
 
     def scan(start):
-        return _scan_part(cells, seed, start, min(_CHUNK, n - start))
+        return _scan_part(cells, seed, start, min(_CHUNK, n - start), records)
 
     def merge(parts, pieces):
         return list(map(_merge_parts, parts, pieces))
@@ -433,29 +430,20 @@ def verify_region(params, n_samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
     turning radius r* lies beyond SAMPLE_DOMAIN: it shows one gap sign
     only and fails, e.g. (-0.01, q) for q = -0.05, -1, -3.
     """
-    cell, (n_samples, seed) = _cell(params), _scan_args(n_samples, seed, "n_samples")
-    return next(_verify_grid((cell,), n_samples, seed, {}))
-
-
-def _verify_grid(cells, n_samples, seed, expected):
-    """verify_region over checked arguments: one report per (p, q) cell, in order.
-
-    One scan serves all cells.  `expected` maps a cell (p, q) to its
-    override of classify(p, q).
-    """
-    for (p, q), part in zip(cells, _scan(cells, n_samples, seed)):
-        cls = expected.get((p, q)) or classify(p, q)
-        yield VerificationReport(
-            params=HpqParams(p, q),
-            expected=cls,
-            n_samples=n_samples,
-            n_gap_positive=part.positive,
-            n_gap_negative=part.negative,
-            max_abs_gap=abs(part.worst[0].gap),
-            worst_records=part.worst,
-            seed=seed,
-            verdict=_verdict(cls, part.positive, part.negative),
-        )
+    (p, q), (n_samples, seed) = _cell(params), _scan_args(n_samples, seed, "n_samples")
+    (part,) = _scan(((p, q),), n_samples, seed)
+    cls = classify(p, q)
+    return VerificationReport(
+        params=HpqParams(p, q),
+        expected=cls,
+        n_samples=n_samples,
+        n_gap_positive=part.positive,
+        n_gap_negative=part.negative,
+        max_abs_gap=abs(part.worst[0].gap),
+        worst_records=part.worst,
+        seed=seed,
+        verdict=_verdict(cls, part.positive, part.negative),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -642,6 +630,9 @@ class LemmaCheck:
 def _lemma_check(p, q, values, expected, bound=math.inf):
     # Steps below the tie threshold are rounding noise, not monotonicity
     # evidence: near flat stretches adjacent values can round identically.
+    if not np.all(np.isfinite(values)):
+        orders = f"p={p}" if q is None else f"p={p}, q={q}"
+        raise OverflowError(f"lemma grid values at {orders} leave the double range")
     diffs = np.diff(values)
     tau = significance_threshold(values[:-1], values[1:], _STEP_SIGNIFICANCE)
     rises, falls = int(np.sum(diffs > tau)), int(np.sum(diffs < -tau))
@@ -669,10 +660,12 @@ def check_h_lemma(p):
     """Confirm the expected shape of h_p on _LEMMA_GRID.
 
     p >= 0: strictly increasing; p <= -1: strictly decreasing; otherwise
-    non-monotone with grid maximum at most c_of_p(p) + 1e-8.
+    non-monotone with grid maximum at most c_of_p(p) + 1e-8.  Raises
+    OverflowError where h_p on the grid is not finite (|p| near 1e308).
     """
     p = finite(p, "p")
-    values = _h(p, _LEMMA_W)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _h(p, _LEMMA_W)
     if p >= 0.0:
         return _lemma_check(p, None, values, "increasing")
     if p <= -1.0:
@@ -693,8 +686,10 @@ def check_g_lemma(p, q):
     """Confirm the expected monotonicity clause of g_pq on _LEMMA_GRID.
 
     The clause is the one classify(p, q) selects; evaluation runs in log
-    space so extreme orders cannot overflow.
+    space, and raises OverflowError only where ln g_pq on the grid is not
+    finite (|p| or |q| near 1e308).
     """
     p, q = finite(p, "p"), finite(q, "q")
-    ln_g = _ln_g(p, q, _LEMMA_GRID, _LEMMA_W)[2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ln_g = _ln_g(p, q, _LEMMA_GRID, _LEMMA_W)[2]
     return _lemma_check(p, q, ln_g, _G_SHAPE[classify(p, q)])

@@ -3,7 +3,11 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -165,11 +169,17 @@ def test_selftest_checks_arguments_before_any_check(capsys, argv):
 
 
 def test_selftest_injected_fault_fails(capsys):
-    code, out, _ = invoke(
-        capsys, ["selftest", "--samples", "500", "--seed", "42", "--inject-fault"]
-    )
+    # The fault flips the expectation of the (1, 1) region cell alone.
+    argv = ["selftest", "--samples", "500", "--seed", "42"]
+    code, out, _ = invoke(capsys, [*argv, "--inject-fault"])
     assert code == 1
-    assert "FAIL region p=1 q=1" in out
+    clean = invoke(capsys, argv)[1].splitlines()
+    lines = out.splitlines()
+    assert len(lines) == len(clean)
+    assert [(a, b) for a, b in zip(clean, lines) if a != b] == [
+        ("PASS region p=1 q=1 (concave: 499 pos / 0 neg)", "FAIL region p=1 q=1 (convex: 499 pos / 0 neg)"),
+        ("selftest: 0 failure(s)", "selftest: 1 failure(s)"),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -194,6 +204,46 @@ def test_selftest_output_is_pinned(capsys, argv, exit_code, digest):
     code, out, _ = invoke(capsys, ["selftest", *argv])
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_SELFTESTS_IN_A_SUBPROCESS = """
+import contextlib, hashlib, io, json
+from numpy._core._multiarray_umath import __cpu_features__
+from wconvexity.cli import run
+runs = []
+for argv in (["selftest", "--samples", "1000"], ["selftest"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    runs.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+print(json.dumps({"avx512": __cpu_features__["AVX512_SKX"], "runs": runs}))
+"""
+
+
+def test_selftest_does_not_depend_on_simd_dispatch():
+    # NumPy picks its exp, log and power loops by CPU feature at run time.
+    # Without AVX-512, w0 moves some values by an ulp and some verify and
+    # counterexample digits move, but no selftest line may: its lines hold
+    # counts, verdicts and witness gaps to four digits.
+    features = pytest.importorskip("numpy._core._multiarray_umath").__cpu_features__
+    if not features.get("AVX512_SKX"):
+        pytest.skip("AVX-512 (AVX512_SKX) is not enabled in this process")
+    src = str(Path(wconvexity.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4",
+        "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", _SELFTESTS_IN_A_SUBPROCESS],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(done.stdout)
+    assert result["avx512"] is False  # the override took effect
+    assert result["runs"] == [
+        [0, "d34d223c7b8968b57b7cd373b74d46fb99bc82992e238834680c8fcfb5234d5d"],
+        [0, "e0f0800ada52876d15f0fbe08e78c4ab2800c6e21d003f651b1f007e88dd199d"],
+    ]
 
 
 _EXTREME_ORDERS = (1e308, -1e308, 1e-320, -1e-320, 0.0, -0.0, 2.0, -3.0)

@@ -135,6 +135,17 @@ def test_w0_prime_special_values():
     assert abs(w0_prime(1.0) - OMEGA / (OMEGA + 1.0)) <= 1e-15
 
 
+@pytest.mark.parametrize("z", [1.7e308, 1.7976931348623157e308])
+def test_w0_prime_at_the_top_of_the_double_range(z):
+    # z * (W(z) + 1) overflows here; the derivative is a subnormal double.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        w = mpmath.lambertw(mpmath.mpf(z)).real
+        exact = float(w / (mpmath.mpf(z) * (w + 1)))
+    assert 0.0 < exact < np.finfo(np.float64).tiny
+    assert abs(w0_prime(z) - exact) <= math.ulp(exact)
+
+
 def test_w0_prime_matches_finite_difference_at_5():
     z = 5.0
     h = 1e-6 * z

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -261,11 +262,6 @@ def test_verify_region_case_fixtures(p, q, expected):
     assert rep.verdict == "pass"
 
 
-def test_verify_region_expected_override_detects_mismatch():
-    (rep,) = verify._verify_grid(((1.0, 1.0),), 2_000, 42, {(1.0, 1.0): CONVEX})
-    assert rep.verdict == "fail"
-
-
 def test_partitioned_scan_merges_to_single_pass():
     def merge(a, b):
         return list(map(_merge_parts, a, b))
@@ -299,14 +295,17 @@ CELL_LISTS = [
 def test_scan_over_a_cell_list_equals_per_cell_scans(cells):
     parts = _scan_part(cells, 9, 0, 5_000)
     assert parts == [_scan_part((cell,), 9, 0, 5_000)[0] for cell in cells]
-    pieces = [_scan_part(cells, 9, start, 1_250) for start in range(0, 5_000, 1_250)]
-    left = pieces[0]
-    for piece in pieces[1:]:
-        left = list(map(_merge_parts, left, piece))
-    right = pieces[-1]
-    for piece in reversed(pieces[:-1]):
-        right = list(map(_merge_parts, piece, right))
-    assert left == right == parts
+    # A scan without records counts exactly the signs a scan with them does.
+    counts = [_Part(part.positive, part.negative, (), (), ()) for part in parts]
+    for records, expected in ((True, parts), (False, counts)):
+        pieces = [_scan_part(cells, 9, start, 1_250, records) for start in range(0, 5_000, 1_250)]
+        left = pieces[0]
+        for piece in pieces[1:]:
+            left = list(map(_merge_parts, left, piece))
+        right = pieces[-1]
+        for piece in reversed(pieces[:-1]):
+            right = list(map(_merge_parts, piece, right))
+        assert left == right == expected
 
 
 def _scan_peak_bytes(cells, count):
@@ -331,17 +330,19 @@ def test_scan_drops_columns_after_their_last_cell():
 
 @pytest.mark.parametrize("chunk,n", [(7, 50), (None, 1_000), (None, 70_000)])
 def test_grid_reports_equal_per_cell_reports(monkeypatch, chunk, n):
+    # One scan of a grid gives each cell the part that a scan of it alone
+    # gives, and so the counts and records of its verify_region report;
+    # the grid's counts-only scan, which selftest grades, the same counts.
     if chunk is not None:
         monkeypatch.setattr(verify, "_CHUNK", chunk)
-    ps, qs = (-0.5, 0.0, 1.0), (-1.0, 0.25, 1.0)
-    overrides = {(1.0, 1.0): CONVEX}
-    reports = list(verify._verify_grid(tuple(itertools.product(ps, qs)), n, 42, overrides))
-    cells = [(p, q) for p in ps for q in qs]
-    assert [(r.params.p, r.params.q) for r in reports] == cells
-    for (p, q), report in zip(cells, reports):
-        (single,) = verify._verify_grid(((p, q),), n, 42, overrides)
-        assert report.to_json() == single.to_json()
-    assert reports[cells.index((1.0, 1.0))].verdict == "fail"
+    cells = tuple(itertools.product((-0.5, 0.0, 1.0), (-1.0, 0.25, 1.0)))
+    parts, counts = _scan(cells, n, 42), _scan(cells, n, 42, records=False)
+    for cell, part, count in zip(cells, parts, counts, strict=True):
+        assert _scan((cell,), n, 42) == [part]
+        assert count == _Part(part.positive, part.negative, (), (), ())
+        report = verify_region(HpqParams(*cell), n, 42)
+        assert (report.n_gap_positive, report.n_gap_negative) == (part.positive, part.negative)
+        assert report.worst_records == part.worst
 
 
 @pytest.mark.parametrize("chunk,n,chunks", [(None, 1_000, 1), (7, 20, 3)])
@@ -350,7 +351,7 @@ def test_w0_calls_per_chunk(monkeypatch, chunk, n, chunks):
         monkeypatch.setattr(verify, "_CHUNK", chunk)
     calls, real_w0 = [], verify.w0
     monkeypatch.setattr(verify, "w0", lambda z: calls.append(np.size(z)) or real_w0(z))
-    list(verify._verify_grid(tuple(itertools.product(GRID_AXIS, GRID_AXIS)), n, 42, {}))
+    _scan(tuple(itertools.product(GRID_AXIS, GRID_AXIS)), n, 42, records=False)
     assert len(calls) == 13 * chunks  # W(H_p) per p, then W(x) and W(y)
     calls.clear()
     verify_region(HpqParams(-0.5, -1.0), n, 42)
@@ -844,6 +845,20 @@ _WINDOW_DEFECT = pytest.mark.xfail(
 )
 def test_check_h_lemma_fixtures(p):
     assert check_h_lemma(p).passed
+
+
+@pytest.mark.parametrize("p", [1e308, -1e308])
+def test_check_h_lemma_refuses_a_grid_beyond_the_double_range(p):
+    # p * (W + 1) overflows on the grid: no shape is graded, no warning shown.
+    with pytest.raises(OverflowError, match=re.escape(f"lemma grid values at p={p} leave")):
+        check_h_lemma(p)
+
+
+@pytest.mark.parametrize("p,q", itertools.product([1e308, -1e308], repeat=2))
+def test_check_g_lemma_refuses_a_grid_beyond_the_double_range(p, q):
+    # ln g_pq turns inf or NaN on the grid.
+    with pytest.raises(OverflowError, match=re.escape(f"lemma grid values at p={p}, q={q} leave")):
+        check_g_lemma(p, q)
 
 
 def test_check_g_lemma_examples():
