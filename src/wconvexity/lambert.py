@@ -67,40 +67,34 @@ def _initial_guess(z):
     return out
 
 
-def _halley_step(z, w, block, near_max):
-    # One Halley step for f(w) = w*e**w - z through the rows of a (4, n)
-    # block; w is not updated.  Row 0 is free once it returns.
-    ew, f, wp1, t = block
-    np.multiply(w, np.exp(w, out=ew), out=f)
-    f -= z
-    np.add(w, 1.0, out=wp1)
-    np.multiply(np.add(w, 2.0, out=t), f, out=t)
-    t /= 2.0 * wp1
-    denom = np.multiply(ew, wp1, out=ew)
-    denom -= t
-    step = np.divide(f, denom, out=f)
-    if near_max:
-        # Where e**w * (w + 1) overflows, take the same step divided
-        # through by e**w.  Only there: elsewhere it rounds differently.
-        fs = w - z * np.exp(-w)
-        scaled = fs / (wp1 - (w + 2.0) * fs / (2.0 * wp1))
-        step = np.where(np.isfinite(denom), step, scaled)
-    return step
-
-
 def _halley_steps(z, w, count, near_max):
-    # count Halley steps on w in place through one (4, n) block of
-    # temporaries, freed on return; under glibc that keeps later batch-sized
-    # temporaries on the heap, not faulted in anew.  Returns the elements
-    # that the last step moved and whether each last step converged.
+    # count Halley steps for f(w) = w*e**w - z on w in place, through one
+    # (4, n) block of temporaries, freed on return; under glibc that keeps
+    # later batch-sized temporaries on the heap, not faulted in anew.
+    # Returns the elements that the last step moved, and that step.
     block = np.empty((4, w.size))
-    for _ in range(count - 1):
-        w -= _halley_step(z, w, block, near_max)
-    step = _halley_step(z, w, block, near_max)
-    new = np.subtract(w, step, out=block[0])
+    ew, f, wp1, t = block
+    for i in range(count):
+        if i:
+            w -= step
+        np.multiply(w, np.exp(w, out=ew), out=f)
+        f -= z
+        np.add(w, 1.0, out=wp1)
+        np.multiply(np.add(w, 2.0, out=t), f, out=t)
+        t /= 2.0 * wp1
+        denom = np.multiply(ew, wp1, out=ew)
+        denom -= t
+        step = np.divide(f, denom, out=f)
+        if near_max:
+            # Where e**w * (w + 1) overflows, take the same step divided
+            # through by e**w.  Only there: elsewhere it rounds differently.
+            fs = w - z * np.exp(-w)
+            scaled = fs / (wp1 - (w + 2.0) * fs / (2.0 * wp1))
+            step = np.where(np.isfinite(denom), step, scaled)
+    new = np.subtract(w, step, out=ew)
     moved = np.flatnonzero(new.view(np.int64) != w.view(np.int64))
     w[moved] = new[moved]
-    return moved, np.abs(step) <= _CONVERGED_REL * np.abs(w) + 5e-324
+    return moved, step
 
 
 def _halley(z, w):
@@ -109,31 +103,30 @@ def _halley(z, w):
     # _SETTLE_STEPS leaves bit-for-bit unmoved is a fixed point: each later
     # step starts from the same (w, z) and repeats that step.  So only the
     # elements it moved take the remaining steps, gathered into contiguous
-    # arrays, and every element's last step is checked.
+    # arrays, and only their last step is checked: a NaN or infinite step
+    # moves a finite w, so an unmoved one took at most half an ulp of w.
     near_max = z.max(initial=0.0) > _OVERFLOW_FREE
-    w = w.copy()
-    moved, converged = _halley_steps(z, w, min(_STEPS, _SETTLE_STEPS), near_max)
+    w = last = w.copy()
+    moved, step = _halley_steps(z, w, min(_STEPS, _SETTLE_STEPS), near_max)
     if _STEPS > _SETTLE_STEPS:
-        w_moved = w[moved]
-        converged[moved] = _halley_steps(z[moved], w_moved, _STEPS - _SETTLE_STEPS, near_max)[1]
-        w[moved] = w_moved
-    if not converged.all():
+        last = w[moved]
+        step = _halley_steps(z[moved], last, _STEPS - _SETTLE_STEPS, near_max)[1]
+        w[moved] = last
+    if not np.all(np.abs(step) <= _CONVERGED_REL * np.abs(last) + 5e-324):
         raise RuntimeError("Halley iteration for w0 did not converge")
     return w
 
 
 def _polish(z, w):
     # The final iterate is within one double of the best one: keep the least
-    # residual of w and its neighbours by strict < in the order w, lower,
-    # upper, so a tie keeps the earlier and exact solutions (z = 0) survive.
-    # For w > 0 the neighbours are the bit pattern -1 and +1 (the largest
-    # double + 1 is inf); nextafter serves only the zeros, for their sign.
+    # residual of w and its bit neighbours -1 and +1 by strict < in the order
+    # w, lower, upper, so a tie keeps the earlier.  fmin and < pass over the
+    # NaN below +-0, and Halley returns +-0 only for z = +-0, with its sign,
+    # so no neighbour beats that exact 0.  The largest double + 1 is inf.
     bits = w.view(np.int64)
     lo, hi = (bits - 1).view(np.float64), (bits + 1).view(np.float64)
-    edge = np.flatnonzero(~(w > 0.0))
-    lo[edge], hi[edge] = np.nextafter(w[edge], -np.inf), np.nextafter(w[edge], np.inf)
     best, r_lo = np.abs(w * np.exp(w) - z), np.abs(lo * np.exp(lo) - z)
-    w, best = np.where(r_lo < best, lo, w), np.minimum(r_lo, best)
+    w, best = np.where(r_lo < best, lo, w), np.fmin(r_lo, best)
     return np.where(np.abs(hi * np.exp(hi) - z) < best, hi, w)
 
 

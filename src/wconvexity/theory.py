@@ -72,10 +72,15 @@ def h_p(p, r):
 
     Tends to p as r -> 0+; strictly increasing for p >= 0, strictly
     decreasing for p <= -1, and for -1 < p < 0 rises to the interior
-    maximum c_of_p(p) before falling to -inf.
+    maximum c_of_p(p) before falling to -inf.  Values past the double
+    range raise OverflowError instead of returning +-inf.
     """
     p = finite(p, "p")
-    return like(_h(p, np.asarray(w0(positive(r, "r")))), r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _h(p, np.asarray(w0(positive(r, "r"))))
+    if not np.all(np.isfinite(values)):
+        raise OverflowError("h_p leaves the double range")
+    return like(values, r)
 
 
 def f1(r):

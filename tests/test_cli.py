@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -206,25 +207,37 @@ def test_selftest_output_is_pinned(capsys, argv, exit_code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-_SELFTESTS_IN_A_SUBPROCESS = """
-import contextlib, hashlib, io, json
+_RUNS_IN_A_SUBPROCESS = """
+import contextlib, io, json, sys
 from numpy._core._multiarray_umath import __cpu_features__
 from wconvexity.cli import run
 runs = []
-for argv in (["selftest", "--samples", "1000"], ["selftest"]):
+for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run(argv)
-    runs.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+    runs.append([code, out.getvalue()])
 print(json.dumps({"avx512": __cpu_features__["AVX512_SKX"], "runs": runs}))
 """
+_SELFTESTS = (["selftest", "--samples", "1000"], ["selftest"])
+# The verify cells perfbench pins at 20k samples and the "neither" searches.
+_DISPATCH_DEPENDENT = (
+    *(["verify", "--samples", "20000", "--", repr(p), repr(q)] for p, q in ((2.0, 1.0), (-0.5, -0.25), (-0.5, -1.0))),
+    *(["counterexample", "--budget", "10000", "--", repr(p), repr(q)] for p, q in verify.NEITHER_FIXTURES),
+)
 
 
-def test_selftest_does_not_depend_on_simd_dispatch():
+def _without_record_digits(out):
+    # verify and counterexample stdout with each record value cut to its sign.
+    return re.sub(r"(max\|gap\||\b(?:x|y|lhs|rhs|gap))=(-?)\S+", r"\1=\2", out)
+
+
+def test_selftest_does_not_depend_on_simd_dispatch(capsys):
     # NumPy picks its exp, log and power loops by CPU feature at run time.
     # Without AVX-512, w0 moves some values by an ulp and some verify and
     # counterexample digits move, but no selftest line may: its lines hold
-    # counts, verdicts and witness gaps to four digits.
+    # counts, verdicts and witness gaps to four digits.  Nor may the counts,
+    # verdicts and witness gap signs of verify and counterexample.
     features = pytest.importorskip("numpy._core._multiarray_umath").__cpu_features__
     if not features.get("AVX512_SKX"):
         pytest.skip("AVX-512 (AVX512_SKX) is not enabled in this process")
@@ -235,15 +248,19 @@ def test_selftest_does_not_depend_on_simd_dispatch():
         "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
     }
     done = subprocess.run(
-        [sys.executable, "-c", _SELFTESTS_IN_A_SUBPROCESS],
+        [sys.executable, "-c", _RUNS_IN_A_SUBPROCESS, json.dumps([*_SELFTESTS, *_DISPATCH_DEPENDENT])],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     result = json.loads(done.stdout)
     assert result["avx512"] is False  # the override took effect
-    assert result["runs"] == [
+    selftests, others = result["runs"][: len(_SELFTESTS)], result["runs"][len(_SELFTESTS) :]
+    assert [[code, hashlib.sha256(out.encode()).hexdigest()] for code, out in selftests] == [
         [0, "d34d223c7b8968b57b7cd373b74d46fb99bc82992e238834680c8fcfb5234d5d"],
         [0, "e0f0800ada52876d15f0fbe08e78c4ab2800c6e21d003f651b1f007e88dd199d"],
     ]
+    for argv, (code, out) in zip(_DISPATCH_DEPENDENT, others):
+        expected_code, expected_out, _ = invoke(capsys, argv)
+        assert (code, _without_record_digits(out)) == (expected_code, _without_record_digits(expected_out)), argv
 
 
 _EXTREME_ORDERS = (1e308, -1e308, 1e-320, -1e-320, 0.0, -0.0, 2.0, -3.0)

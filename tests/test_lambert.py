@@ -107,8 +107,25 @@ def test_w0_raises_when_halley_does_not_converge(monkeypatch, steps):
         w0(np.logspace(-3.0, 3.0, 50))
 
 
+@pytest.mark.parametrize("settle", [1, 2])
+def test_w0_raises_when_the_second_stage_does_not_converge(monkeypatch, settle):
+    # Only the elements that step `settle` moved take the last step, and
+    # only they are checked.
+    monkeypatch.setattr(lambert, "_STEPS", 3)
+    monkeypatch.setattr(lambert, "_SETTLE_STEPS", settle)
+    with pytest.raises(RuntimeError):
+        w0(np.logspace(-3.0, 3.0, 50))
+
+
 def test_w0_converges_in_four_halley_steps(monkeypatch):
     monkeypatch.setattr(lambert, "_STEPS", 4)
+    w0(np.logspace(-3.0, 3.0, 50))
+
+
+@pytest.mark.parametrize("settle", [1, 2])
+def test_w0_converges_in_four_halley_steps_split_after_step(monkeypatch, settle):
+    monkeypatch.setattr(lambert, "_STEPS", 4)
+    monkeypatch.setattr(lambert, "_SETTLE_STEPS", settle)
     w0(np.logspace(-3.0, 3.0, 50))
 
 
@@ -290,12 +307,41 @@ def test_polish_ties_keep_the_earlier_candidate():
     assert _same_bits(lambert._polish(z, w), _polish_reference(z, w))
 
 
-def test_polish_takes_the_neighbours_of_zeros_by_nextafter():
-    # w0's zeros are exact, so no neighbour can win there; with z = +-5e-324
-    # one does, and only nextafter gives -0.0 the neighbour +5e-324 and 0.0
-    # the neighbour -5e-324.
-    z, w = (v.ravel() for v in np.meshgrid([-5e-324, 0.0, 5e-324], [0.0, -0.0]))
+def test_polish_keeps_zeros_as_nextafter_does():
+    # The bit neighbours of a zero are a NaN and the subnormal of the zero's
+    # sign, never the other zero's subnormal, which nextafter takes.  So the
+    # polish matches the reference wherever that neighbour cannot win; the
+    # pairs (-5e-324, 0.0) and (5e-324, -0.0), where it would, are not
+    # results of _halley (see the test below).
+    z = np.array([0.0, 5e-324, -5e-324, 0.0])
+    w = np.array([0.0, 0.0, -0.0, -0.0])
     assert _same_bits(lambert._polish(z, w), _polish_reference(z, w))
+
+
+def _assert_zeros_only_from_zeros(z):
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = lambert._halley(z, lambert._initial_guess(z))
+    assert np.array_equal(w == 0.0, z == 0.0)
+    assert np.array_equal(np.signbit(w[w == 0.0]), np.signbit(z[z == 0.0]))
+
+
+def test_halley_returns_a_zero_only_for_a_zero_with_its_sign():
+    # The premise of _polish's zero handling: a zero iterate is exact.
+    _assert_zeros_only_from_zeros(_stage_inputs())
+    assert _same_bits(w0(np.array([0.0, -0.0])), np.array([0.0, -0.0]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    arrays(
+        np.float64,
+        st.integers(1, 40),
+        elements=st.sampled_from([0.0, -0.0, 5e-324, 1e-310, _MAX])
+        | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    )
+)
+def test_halley_zeros_on_any_batch(z):
+    _assert_zeros_only_from_zeros(z)
 
 
 def test_polish_keeps_w_when_every_residual_is_infinite():

@@ -59,6 +59,18 @@ def test_h_p_rejects_nonpositive_r():
         h_p(1.0, -3.0)
 
 
+@pytest.mark.parametrize("p", [1e308, -1e308])
+@pytest.mark.parametrize("r", [3.0, 1e9, 1e300, np.finfo(np.float64).max])
+def test_h_p_out_of_range_raises(p, r):
+    # p * (W(r) + 1) overflows; no RuntimeWarning may escape.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="double range"):
+            h_p(p, r)
+        with pytest.raises(OverflowError, match="double range"):
+            h_p(p, np.array([1e-9, r]))
+
+
 def test_h_p_matches_mpmath_over_the_double_range():
     # h_p = p * (W + 1) + W / (W + 1): W's rounding is scaled by |p|, and
     # each operation adds one rounding, so the error is a few eps times

@@ -813,6 +813,83 @@ def test_check_chain_names_the_coordinate_that_is_wrong(x, y, message):
         check_chain(x, y)
 
 
+# ---------------------------------------------------------------- 40-digit oracle
+
+ORACLE_CELLS = (
+    (2.0, 1.0), (-0.5, -0.25), (-0.5, -1.0), (0.0, 0.5), (-2.0, -3.0), (2.0, 3.0), (-1.0, -1.0), (0.0, 0.0)
+)
+ORACLE_SAMPLES = 500
+
+
+def _mp_mean(mpmath, p, r, s):
+    return mpmath.sqrt(r * s) if p == 0.0 else ((r**p + s**p) / 2) ** (1 / mpmath.mpf(p))
+
+
+def _mp_gap(mpmath, p, q, x, y):
+    # W(H_p(x, y)) - H_q(W(x), W(y)) in 40 digits; x, y are mpf.
+    lhs = mpmath.lambertw(_mp_mean(mpmath, p, x, y))
+    return lhs - _mp_mean(mpmath, q, mpmath.lambertw(x), mpmath.lambertw(y))
+
+
+@pytest.fixture
+def mpmath40():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        yield mpmath
+
+
+def test_scan_signs_match_a_40_digit_oracle(monkeypatch, mpmath40):
+    # The columns each cell's counts come from, as the scan passes them.
+    seen, cell_part = {}, verify._cell_part
+
+    def capture(p, q, x, y, lhs, rhs, records):
+        seen[p, q] = lhs, rhs
+        return cell_part(p, q, x, y, lhs, rhs, records)
+
+    monkeypatch.setattr(verify, "_cell_part", capture)
+    parts = _scan(ORACLE_CELLS, ORACLE_SAMPLES, 42)
+    mp = mpmath40
+    xs, ys = ([mp.mpf(float(v)) for v in c] for c in sample_pairs(42, 0, ORACLE_SAMPLES))
+    wx, wy = [mp.lambertw(v) for v in xs], [mp.lambertw(v) for v in ys]
+    lhs_of = {}
+    for (p, q), part in zip(ORACLE_CELLS, parts):
+        if p not in lhs_of:
+            lhs_of[p] = [mp.lambertw(_mp_mean(mp, p, x, y)) for x, y in zip(xs, ys)]
+        true = np.array([float(a - _mp_mean(mp, q, b, c)) for a, b, c in zip(lhs_of[p], wx, wy)])
+        lhs, rhs = seen[p, q]
+        gap, tol = lhs - rhs, significance_threshold(lhs, rhs)
+        positive, negative = gap > tol, gap < -tol
+        assert (part.positive, part.negative) == (np.count_nonzero(positive), np.count_nonzero(negative))
+        assert np.all(true[positive] > 0.0) and np.all(true[negative] < 0.0), (p, q)
+        ties = ~positive & ~negative
+        assert np.all(np.abs(true[ties]) <= tol[ties]), (p, q)
+        # Relative to max(|lhs|, |rhs|, 1): 7.1e-16 at most here, against the
+        # threshold's 1e-12, so a kernel that degrades trips this first.
+        assert np.max(np.abs(gap - true) / significance_threshold(lhs, rhs, 1.0)) < 1e-14, (p, q)
+
+
+def test_chain_links_are_strict_in_a_40_digit_oracle(mpmath40):
+    mp = mpmath40
+    x, y = sample_pairs(42, 0, ORACLE_SAMPLES)
+    assert np.all(x != y)
+    members = np.array(check_chain(x, y))
+    for i, (xf, yf) in enumerate(zip(x, y)):
+        xm, ym = mp.mpf(float(xf)), mp.mpf(float(yf))
+        wx, wy = mp.lambertw(xm), mp.lambertw(ym)
+        qhf = (2 * mp.root(xm * ym, 4) / (mp.root(xm, 4) + mp.root(ym, 4))) ** 4
+        exact = (mp.lambertw(qhf), mp.sqrt(wx * wy), mp.lambertw(mp.sqrt(xm * ym)), (wx + wy) / 2)
+        assert all(hi - lo > 0 for lo, hi in itertools.pairwise(exact)), i
+        assert all(abs(m - e) <= 1e-14 * e for m, e in zip(members[:, i], exact)), i
+
+
+def test_witness_gaps_have_the_40_digit_sign(mpmath40):
+    mp = mpmath40
+    for (p, q), pair in zip(NEITHER_FIXTURES, _counterexamples(NEITHER_FIXTURES, 10_000, 42)):
+        for rec, sign in ((pair.violates_convexity, 1), (pair.violates_concavity, -1)):
+            assert sign * rec.gap > 0.0
+            assert sign * _mp_gap(mp, p, q, mp.mpf(rec.x), mp.mpf(rec.y)) > 0, (p, q, rec)
+
+
 # ---------------------------------------------------------------- lemma checks
 
 
