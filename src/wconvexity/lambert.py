@@ -38,9 +38,9 @@ _GUESS_AT_E_SQ = 2.0 - _LN2 + 0.5 * _LN2
 # e.g. at z = 0.29835963).  The sixth step stays below ~4.7e-16 * |w|.
 _STEPS = 6
 # Steps up to this one run on every element, later ones only on the elements
-# it moved.  It leaves 85.9% of the 500,000 coordinates of
-# sample_pairs(42, 0, 250_000) bit-for-bit unmoved (step two 5.2%, step four
-# 95.7%).
+# it moved; 1 <= _SETTLE_STEPS < _STEPS, so both stages always run.  It
+# leaves 85.9% of the 500,000 coordinates of sample_pairs(42, 0, 250_000)
+# bit-for-bit unmoved (step two 5.2%, step four 95.7%).
 _SETTLE_STEPS = 3
 _CONVERGED_REL = 8e-16
 # Near the root the Halley denominator e**w * (w + 1) is about z * (1 + 1/w),
@@ -106,12 +106,11 @@ def _halley(z, w):
     # arrays, and only their last step is checked: a NaN or infinite step
     # moves a finite w, so an unmoved one took at most half an ulp of w.
     near_max = z.max(initial=0.0) > _OVERFLOW_FREE
-    w = last = w.copy()
-    moved, step = _halley_steps(z, w, min(_STEPS, _SETTLE_STEPS), near_max)
-    if _STEPS > _SETTLE_STEPS:
-        last = w[moved]
-        step = _halley_steps(z[moved], last, _STEPS - _SETTLE_STEPS, near_max)[1]
-        w[moved] = last
+    w = w.copy()
+    moved = _halley_steps(z, w, _SETTLE_STEPS, near_max)[0]
+    last = w[moved]
+    step = _halley_steps(z[moved], last, _STEPS - _SETTLE_STEPS, near_max)[1]
+    w[moved] = last
     if not np.all(np.abs(step) <= _CONVERGED_REL * np.abs(last) + 5e-324):
         raise RuntimeError("Halley iteration for w0 did not converge")
     return w

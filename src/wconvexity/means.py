@@ -67,9 +67,10 @@ def quartic_harmonic_form(x, y):
     Algebraically this is the power mean of order -1/4 (the harmonic mean
     of the fourth roots, raised back to the fourth power); it is kept as a
     separate closed form so the two routes can cross-check each other.
+    Clamped like holder_mean, so equal arguments are returned exactly.
     """
-    a = np.sqrt(np.sqrt(positive(x, "x")))
-    b = np.sqrt(np.sqrt(positive(y, "y")))
+    xx, yy = positive(x, "x"), positive(y, "y")
+    a, b = np.sqrt(np.sqrt(xx)), np.sqrt(np.sqrt(yy))
     g = 2.0 * a * b / (a + b)
     gg = g * g
-    return like(gg * gg, x, y)
+    return like(np.minimum(np.maximum(gg * gg, np.minimum(xx, yy)), np.maximum(xx, yy)), x, y)

@@ -26,6 +26,9 @@ _FILL = {
     ConvexityClass.NEITHER.value: COLOR_NEITHER,
 }
 
+# 2,000 x 2,000: building and writing take about 360 MB per million cells.
+_MAX_CELLS = 4_000_000
+
 _SIZE = 800
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 24, 24, 60
 
@@ -42,11 +45,15 @@ class RegionRaster:
     cells: tuple
 
 
+def _axis_size(lo, hi, step):
+    n = (hi - lo) / step + 1e-9
+    return math.floor(n) + 1 if n < math.inf else n
+
+
 def _axis(lo, hi, step):
-    n = int(math.floor((hi - lo) / step + 1e-9))
-    values = [lo + i * step for i in range(n + 1)]
+    values = [lo + i * step for i in range(_axis_size(lo, hi, step))]
     # Snap the last lattice point onto the window edge when it belongs there.
-    if values and abs(values[-1] - hi) <= 1e-9 * max(1.0, abs(hi)):
+    if abs(values[-1] - hi) <= 1e-9 * max(1.0, abs(hi)):
         values[-1] = hi
     return values
 
@@ -64,7 +71,7 @@ def _column(p, qs):
 
 
 def build_raster(p_min, p_max, q_min, q_max, step):
-    """Classify the closed lattice (inclusive of both endpoints).
+    """Classify the closed lattice, both endpoints in; ValueError past 4,000,000 cells.
 
     ``classify`` is the only rule: the cells are those it gives at every
     lattice point, but it is called only at the probes of a bisection.
@@ -83,6 +90,9 @@ def build_raster(p_min, p_max, q_min, q_max, step):
         raise ValueError("raster window must satisfy p_min <= p_max and q_min <= q_max")
     if step <= 0.0:
         raise ValueError("step must be > 0")
+    n_cells = _axis_size(p_min, p_max, step) * _axis_size(q_min, q_max, step)
+    if n_cells > _MAX_CELLS:
+        raise ValueError(f"raster of {n_cells:,} cells exceeds the limit of {_MAX_CELLS:,}")
     qs = _axis(q_min, q_max, step)
     cells = tuple(cell for p in _axis(p_min, p_max, step) for cell in _column(p, qs))
     return RegionRaster(p_min=p_min, p_max=p_max, q_min=q_min, q_max=q_max, step=step, cells=cells)

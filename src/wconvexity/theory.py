@@ -147,16 +147,6 @@ def h_p_argmax(p):
     return (z - 1.0) * math.exp(z - 1.0)
 
 
-def _on_or_above_curve(p, q):
-    # Exactly q >= C(p): c_of_p is within 2**-52 of C(p), so floats decide beyond
-    # 2**-51 of it; within, q >= 1 or (1 - q)**2 <= -4p in integers, q = n/d, p = m/e.
-    c = c_of_p(p)
-    if abs(q - c) > 2.0**-51:
-        return q >= c
-    (n, d), (m, e) = q.as_integer_ratio(), p.as_integer_ratio()
-    return q >= 1.0 or (d - n) ** 2 * e <= -4 * m * d * d
-
-
 def classify(p, q):
     """Three-way convexity verdict of W for the pair (p, q).
 
@@ -170,7 +160,9 @@ def classify(p, q):
     if p <= -1.0:
         return ConvexityClass.STRICTLY_CONVEX if q >= p else ConvexityClass.NEITHER
     if p <= 0.0:
-        if _on_or_above_curve(p, q):
+        # Exactly q >= 1 - 2*sqrt(-p): q >= 1 or (1 - q)**2 <= -4p, in q = n/d, p = m/e.
+        (n, d), (m, e) = q.as_integer_ratio(), p.as_integer_ratio()
+        if q >= 1.0 or (d - n) ** 2 * e <= -4 * m * d * d:
             return ConvexityClass.STRICTLY_CONVEX
         if p == 0.0 and q <= 0.0:
             return ConvexityClass.STRICTLY_CONCAVE

@@ -505,10 +505,7 @@ def _refine(cells, origins):
         a = np.maximum(ln_lo, point[coord] - half_span)
         b = np.minimum(ln_hi, point[coord] + half_span)
         c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-        # Coordinate 0's first call also takes the origin's value.
-        first = fun(coord, np.stack([point[coord], c, d][coord:], axis=1))
-        best = first[:, 0] if coord == 0 else best
-        fc, fd = first[:, -2], first[:, -1]
+        best, fc, fd = fun(coord, np.stack([point[coord], c, d], axis=1)).T
         for _ in range(20 // _LOOKAHEAD):
             # The brackets the next steps can reach, level by level: node j
             # of a level has children 2j (fc >= fd) and 2j + 1 in the next.

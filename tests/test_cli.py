@@ -136,6 +136,14 @@ def test_raster_bad_step(capsys):
     assert "error:" in err
 
 
+def test_raster_past_the_cell_cap_writes_nothing(capsys, tmp_path):
+    out = tmp_path / "map.csv"
+    code, _, err = invoke(capsys, ["raster", "--step", "1e-9", "--out", str(out)])
+    assert code == 2
+    assert "cells exceeds the limit" in err
+    assert not out.exists()
+
+
 def test_raster_unwritable_path(capsys, tmp_path):
     code, _, _ = invoke(capsys, ["raster", "--out", str(tmp_path)])  # a directory
     assert code == 2

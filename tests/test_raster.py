@@ -178,3 +178,18 @@ def test_default_window_classifies_by_bisection(monkeypatch, shift, calls):
     r = raster.build_raster(-3.0 + sp, 3.0 + sp, -3.0 + sq, 3.0 + sq, 0.05)
     assert len(r.cells) == 14_641
     assert len(counted) == calls < 2_000
+
+
+@pytest.mark.parametrize("step", [1e-9, 5e-324])
+def test_a_raster_past_the_cell_cap_is_refused_before_it_is_built(step):
+    # 6e9 + 1 points per axis at 1e-9; at 5e-324 the count leaves the doubles.
+    with pytest.raises(ValueError, match="cells exceeds the limit"):
+        raster.build_raster(-3.0, 3.0, -3.0, 3.0, step)
+
+
+def test_the_cell_cap_admits_a_raster_of_exactly_its_size(monkeypatch):
+    monkeypatch.setattr(raster, "_MAX_CELLS", 9)
+    assert len(raster.build_raster(0.0, 1.0, 0.0, 1.0, 0.5).cells) == 9
+    monkeypatch.setattr(raster, "_MAX_CELLS", 8)
+    with pytest.raises(ValueError, match="^raster of 9 cells"):
+        raster.build_raster(0.0, 1.0, 0.0, 1.0, 0.5)

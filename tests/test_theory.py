@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wconvexity import raster
 from wconvexity.lambert import w0, w0_prime
 from wconvexity.theory import (
     ConvexityClass,
@@ -412,6 +413,52 @@ def test_classify_matches_predicates(p, q):
     got = classify(p, q)
     assert (got is CONVEX) == _convex_pred(p, q)
     assert (got is CONCAVE) == _concave_pred(p, q)
+
+
+def _infimum(a, b, c):
+    # The infimum of a*u**2 + b*u + c over u > 1, or None where it is -inf.
+    if a < 0 or (a == 0 and b < 0):
+        return None
+    if a > 0 and -b / (2 * a) > 1:
+        return c - b * b / (4 * a)  # at the vertex
+    return a + b + c  # approached as u -> 1
+
+
+def _slope_lemma_class(p, q):
+    # Apart from classify's branches: with u = W(r) + 1, which covers
+    # (1, inf), q - h_p(r) = Q(u) / u for Q(u) = -p*u**2 + (q - 1)*u + 1.  So
+    # g_pq never falls (convex) iff Q >= 0 on u > 1, and never rises
+    # (concave) iff Q <= 0 there, that is -Q >= 0.  Exact in rationals.
+    a, b = -Fraction(p), Fraction(q) - 1
+    low, high = _infimum(a, b, 1), _infimum(-a, -b, -1)
+    if low is not None and low >= 0:
+        return CONVEX
+    if high is not None and high >= 0:
+        return CONCAVE
+    return NEITHER
+
+
+@pytest.mark.parametrize(
+    "window, step",
+    [
+        ((-3.0, 3.0, -3.0, 3.0), 0.05),  # the default raster, 14,641 cells
+        ((-1.0, 1.0, -1.0, 1.0), 0.25),
+        ((-2.0, 2.0, -2.0, 2.0), 0.5),
+        ((-1.0, -0.0, -1.0, 1.0), 0.5),
+    ],
+)
+def test_classify_agrees_with_the_slope_lemma_on_raster_windows(window, step):
+    for p, q, cls in raster.build_raster(*window, step).cells:
+        assert classify(p, q) is cls is _slope_lemma_class(p, q), (p, q)
+
+
+def test_classify_agrees_with_the_slope_lemma_near_the_curve():
+    # The rounded curve and the 4 doubles either side of it, where the
+    # exact integer test in classify decides.
+    for i in range(1, 2_001):
+        p = -i / 2_000
+        for q in _doubles_around(c_of_p(p), 4):
+            assert classify(p, q) is _slope_lemma_class(p, q), (p, q)
 
 
 def test_params_reject_non_finite():

@@ -736,14 +736,14 @@ def test_lockstep_search_replays_ties_and_nan_like_the_scalar_search(monkeypatch
 
 
 def test_one_polish_makes_eleven_compare_calls(monkeypatch):
-    # Origin plus coordinate 0's first two probes, four lookahead calls of
-    # 31 points per direction, coordinate 1's first two probes, four more,
-    # and the final point: 11 calls over the 8 directions of the fixtures.
+    # Per coordinate, the current point and its first two probes, then four
+    # lookahead calls of 31 points per direction; then the final point:
+    # 11 calls over the 8 directions of the fixtures.
     origins = _scan_origins(NEITHER_FIXTURES, 5_000, 42)
     sizes, real_compare = [], verify._compare
     monkeypatch.setattr(verify, "_compare", lambda cells, x, y: sizes.append(x.size) or real_compare(cells, x, y))
     _refine(NEITHER_FIXTURES, origins)
-    assert sizes == [8 * 3] + [8 * 31] * 4 + [8 * 2] + [8 * 31] * 4 + [8]
+    assert sizes == [8 * 3] + [8 * 31] * 4 + [8 * 3] + [8 * 31] * 4 + [8]
 
 
 def test_batched_search_mixes_found_and_exhausted_cells():
@@ -779,8 +779,11 @@ def test_find_counterexamples_budget_exhaustion():
 
 
 def test_chain_equal_arguments():
-    vals = check_chain(4.0, 4.0)
-    assert max(vals) - min(vals) <= 1e-13 * max(vals)
+    # The members coincide exactly, not only to within rounding.
+    assert len(set(check_chain(4.0, 4.0))) == len(set(check_chain(3.0, 3.0))) == 1
+    x = np.concatenate([sample_pairs(42, 0, 10_000)[0], np.geomspace(1e-307, 1e308, 1_001)])
+    a, b, c, d = check_chain(x, x)
+    assert np.array_equal(a, b) and np.array_equal(b, c) and np.array_equal(c, d)
 
 
 def test_chain_strict_at_one_e():
@@ -888,6 +891,47 @@ def test_witness_gaps_have_the_40_digit_sign(mpmath40):
         for rec, sign in ((pair.violates_convexity, 1), (pair.violates_concavity, -1)):
             assert sign * rec.gap > 0.0
             assert sign * _mp_gap(mp, p, q, mp.mpf(rec.x), mp.mpf(rec.y)) > 0, (p, q, rec)
+
+
+@pytest.fixture
+def iv80():
+    iv = pytest.importorskip("mpmath").iv
+    prec, iv.prec = iv.prec, 80
+    yield iv
+    iv.prec = prec
+
+
+def _w_enclosure(iv, z):
+    # Doubles a <= W(z) <= b for a point interval z > 0, starting next to
+    # w0(z): t*e**t increases on t > -1, so a*e**a <= z <= b*e**b, decided
+    # in intervals, proves them.
+    w = lambert.w0(float(z))
+    a, b = math.nextafter(w, -math.inf), math.nextafter(w, math.inf)
+    while not iv.mpf(a) * iv.exp(iv.mpf(a)) <= z:
+        a -= 2.0 * (w - a)
+    while not iv.mpf(b) * iv.exp(iv.mpf(b)) >= z:
+        b += 2.0 * (b - w)
+    return a, b
+
+
+def _iv_mean(iv, p, r, s):
+    if p == 0.0:
+        return iv.sqrt(r * s)
+    return iv.exp(iv.log((iv.exp(p * iv.log(r)) + iv.exp(p * iv.log(s))) / 2) / p)
+
+
+def test_witness_gaps_are_certified_in_interval_arithmetic(iv80):
+    # The pinned `counterexample` outputs (budget 100k, seed 42).  W is
+    # increasing, so W(H_p(x, y)) lies between the enclosures' outer ends
+    # at H_p's two ends; every gap interval must exclude 0 on its sign.
+    iv = iv80
+    for (p, q), pair in zip(NEITHER_FIXTURES, _counterexamples(NEITHER_FIXTURES, 100_000, 42)):
+        for rec, sign in ((pair.violates_convexity, 1), (pair.violates_concavity, -1)):
+            x, y = iv.mpf(rec.x), iv.mpf(rec.y)
+            h = _iv_mean(iv, p, x, y)
+            lhs = iv.mpf([_w_enclosure(iv, h.a)[0], _w_enclosure(iv, h.b)[1]])
+            rhs = _iv_mean(iv, q, iv.mpf(list(_w_enclosure(iv, x))), iv.mpf(list(_w_enclosure(iv, y))))
+            assert (sign * (lhs - rhs) > 0) is True, (p, q, rec)
 
 
 # ---------------------------------------------------------------- lemma checks
