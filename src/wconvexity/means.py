@@ -41,7 +41,7 @@ def holder_mean(p, r, s):
             # is exact for exact products like 2*8), split sqrt otherwise.
             prod = rr * ss
             normal = (prod >= _TINY) & np.isfinite(prod)
-            out = np.where(normal, np.sqrt(np.where(normal, prod, 1.0)), np.sqrt(rr) * np.sqrt(ss))
+            out = np.where(normal, np.sqrt(prod), np.sqrt(rr) * np.sqrt(ss))
             if p:
                 d = np.log(rr) - np.log(ss)
                 out = out * np.exp(np.log1p(2.0 * np.sinh(p * d / 4.0) ** 2) / p)

@@ -138,13 +138,17 @@ def h_p_argmax(p):
     """The r in (0, inf) maximising h_p, for -1 < p < 0.
 
     At the maximiser W(r) + 1 = 1/sqrt(-p), i.e. r = (z-1)*e**(z-1) with
-    z = 1/sqrt(-p), and h_p there equals c_of_p(p).
+    z = 1/sqrt(-p), and h_p there equals c_of_p(p).  Raises OverflowError
+    where r passes the largest double, for p above about -2.02e-6.
     """
     p = float(p)
     if not (-1.0 < p < 0.0):
         raise ValueError("h_p_argmax requires -1 < p < 0")
-    z = 1.0 / math.sqrt(-p)
-    return (z - 1.0) * math.exp(z - 1.0)
+    u = 1.0 / math.sqrt(-p) - 1.0
+    r = u * math.exp(min(u, _LN_MAX))  # finite exp; a u past _LN_MAX makes r inf
+    if r == math.inf:
+        raise OverflowError(f"h_p_argmax at p={p} passes the largest double")
+    return r
 
 
 def classify(p, q):

@@ -294,12 +294,10 @@ class _Part:
 
 
 def _top_k(a, k):
-    # Indices of the k largest entries of a, largest first and lower index
-    # first among equals: argsort(-a, kind="stable")[:k] without the full sort.
-    idx = np.arange(a.size)
-    if a.size > k:
-        kth = np.partition(a, a.size - k)[a.size - k]
-        idx = np.flatnonzero(a >= kth)
+    # argsort(-a, kind="stable")[:k] without the full sort: the k largest, ties to the
+    # lower index.  a is never empty (a chunk holds a sample) nor NaN (gaps are finite).
+    kth = max(a.size - k, 0)
+    idx = np.flatnonzero(a >= np.partition(a, kth)[kth])
     return idx[np.argsort(-a[idx], kind="stable")[:k]]
 
 
@@ -402,13 +400,10 @@ def _scan(cells, n, seed, records=True):
     def scan(start):
         return _scan_part(cells, seed, start, min(_CHUNK, n - start), records)
 
-    def merge(parts, pieces):
-        return list(map(_merge_parts, parts, pieces))
-
     workers = min(_workers(), len(starts))
     with ThreadPoolExecutor(workers) as pool:
         pieces = (pool.map if workers > 1 else map)(scan, starts)
-        return functools.reduce(merge, pieces)
+        return [functools.reduce(_merge_parts, parts) for parts in zip(*pieces)]
 
 
 def _verdict(expected, n_positive, n_negative):
@@ -529,7 +524,6 @@ def _refine(cells, origins):
         left = fc >= fd
         t, val = np.where(left, c, d), np.where(left, fc, fd)
         point[coord] = np.where(val > best, t, point[coord])
-        best = np.where(val > best, val, best)
     cols = columns(point)
     recs = (_record(*cells[i // 2], cols, i) for i in range(signs.size))
     return tuple(o if s * r.gap < abs(o.gap) else r for o, s, r in zip(origins, signs, recs))
@@ -592,9 +586,8 @@ def check_chain(x, y):
     All members coincide exactly when x == y; for x != y every inequality
     is strict.  Accepts scalars or arrays.
     """
-    x, y = positive(x, "x"), positive(y, "y")
-    wx, wy = w0(x), w0(y)
     a = w0(quartic_harmonic_form(x, y))
+    wx, wy = w0(x), w0(y)
     b = holder_mean(0.0, wx, wy)
     c = w0(holder_mean(0.0, x, y))
     d = holder_mean(1.0, wx, wy)

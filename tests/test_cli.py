@@ -240,15 +240,19 @@ def _without_record_digits(out):
     return re.sub(r"(max\|gap\||\b(?:x|y|lhs|rhs|gap))=(-?)\S+", r"\1=\2", out)
 
 
+def _skip_without_avx512():
+    features = pytest.importorskip("numpy._core._multiarray_umath").__cpu_features__
+    if not features.get("AVX512_SKX"):
+        pytest.skip("AVX-512 (AVX512_SKX) is not enabled in this process")
+
+
 def test_selftest_does_not_depend_on_simd_dispatch(capsys):
     # NumPy picks its exp, log and power loops by CPU feature at run time.
     # Without AVX-512, w0 moves some values by an ulp and some verify and
     # counterexample digits move, but no selftest line may: its lines hold
     # counts, verdicts and witness gaps to four digits.  Nor may the counts,
     # verdicts and witness gap signs of verify and counterexample.
-    features = pytest.importorskip("numpy._core._multiarray_umath").__cpu_features__
-    if not features.get("AVX512_SKX"):
-        pytest.skip("AVX-512 (AVX512_SKX) is not enabled in this process")
+    _skip_without_avx512()
     src = str(Path(wconvexity.__file__).resolve().parents[1])
     env = {
         **os.environ,
@@ -269,6 +273,26 @@ def test_selftest_does_not_depend_on_simd_dispatch(capsys):
     for argv, (code, out) in zip(_DISPATCH_DEPENDENT, others):
         expected_code, expected_out, _ = invoke(capsys, argv)
         assert (code, _without_record_digits(out)) == (expected_code, _without_record_digits(expected_out)), argv
+
+
+# The benchmark's pinned outputs: argv (output files as {report}, {csv} and
+# {svg}) -> sha256 of stdout or of each named file.
+_PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
+_PINNED_DIGESTS = json.loads(_PINNED.read_text(encoding="utf-8")) if _PINNED.exists() else {}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(_PINNED_DIGESTS) or [pytest.param(None, marks=pytest.mark.skip(reason=f"{_PINNED.name} is absent"))]
+)
+def test_benchmark_pinned_outputs(capsys, tmp_path, key):
+    # 3 of these digests hold only where NumPy dispatches to AVX-512.
+    _skip_without_avx512()
+    files = {name: tmp_path / name for name in ("report", "csv", "svg")}
+    code, out, _ = invoke(capsys, [arg.format(**files) for arg in key.split(" ")])
+    assert code == 0
+    for name, digest in _PINNED_DIGESTS[key].items():
+        data = out.encode() if name == "stdout" else files[name].read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 _EXTREME_ORDERS = (1e308, -1e308, 1e-320, -1e-320, 0.0, -0.0, 2.0, -3.0)

@@ -180,6 +180,12 @@ def test_default_window_classifies_by_bisection(monkeypatch, shift, calls):
     assert len(counted) == calls < 2_000
 
 
+@pytest.mark.parametrize("window", [(1.0, -1.0, -1.0, 1.0), (-1.0, 1.0, 1.0, -1.0)], ids=["p", "q"])
+def test_an_inverted_window_is_refused(window):
+    with pytest.raises(ValueError, match="^raster window must satisfy p_min <= p_max and q_min <= q_max$"):
+        raster.build_raster(*window, 0.5)
+
+
 @pytest.mark.parametrize("step", [1e-9, 5e-324])
 def test_a_raster_past_the_cell_cap_is_refused_before_it_is_built(step):
     # 6e9 + 1 points per axis at 1e-9; at 5e-324 the count leaves the doubles.

@@ -1,6 +1,7 @@
 """Tests for the slope diagnostics and the (p, q) classification."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -256,6 +257,18 @@ def test_h_p_value_at_argmax_is_maximum(p):
     grid_max = float(np.max(np.asarray(h_p(p, r))))
     assert grid_max <= c_of_p(p) + 1e-8
     assert h_p(p, h_p_argmax(p)) >= grid_max - 1e-8
+
+
+def test_h_p_argmax_keeps_its_largest_finite_values():
+    assert h_p_argmax(-2.02e-6) == 9.570691179279134e307
+    assert h_p_argmax(-0.25) == math.e
+
+
+@pytest.mark.parametrize("p", [-2.016e-6, -2e-6, -1.98e-6, -1e-6, -1e-300, -5e-324])
+def test_h_p_argmax_raises_past_the_largest_double(p):
+    # Through about -1.98e-6, e**u stays finite and only the product overflows.
+    with pytest.raises(OverflowError, match=f"^h_p_argmax at p={re.escape(repr(p))} passes the largest double$"):
+        h_p_argmax(p)
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, -2.0, 0.5])

@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -446,6 +447,14 @@ def test_one_chunk_scans_on_the_calling_thread(monkeypatch):
     assert _scan_on(monkeypatch, 8, lambert.w0)[1] == set()
 
 
+def test_workers_without_sched_getaffinity(monkeypatch):
+    # Where os has no sched_getaffinity, every CPU counts, and an unknown count is 1.
+    monkeypatch.setattr(verify, "os", types.SimpleNamespace(cpu_count=lambda: 3))
+    assert verify._workers() == 3
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+    assert verify._workers() == 1
+
+
 def test_compare_at_replays_report_records(p=-3.0, q=-3.0):
     report = verify_region(HpqParams(p, q), 10_000, 42)
     for rec in report.worst_records:
@@ -475,7 +484,9 @@ def test_top_k_matches_stable_argsort_including_ties():
     a = np.array([5.0, 1.0, 9.0, 3.0, 3.0, 8.0, 7.0, 6.0, 4.0, 3.0, 3.0, 9.0, 0.5])
     assert list(_top_k(a, 10)) == [2, 11, 5, 6, 7, 0, 8, 3, 4, 9]
     *_, gap = _compare(((0.0, 0.5),), *sample_pairs(3, 0, 20_000))
-    for values in (np.abs(gap), np.round(np.abs(gap), 14), np.zeros(5), np.ones(30)):
+    # Lengths 1, 9, 10 and 11 around k, with ties, take the same partition path.
+    short = (np.array([2.0, 1.0, 2.0, 3.0] * 3)[:n] for n in (1, 9, 10, 11))
+    for values in (np.abs(gap), np.round(np.abs(gap), 14), np.zeros(5), np.ones(30), *short):
         assert np.array_equal(_top_k(values, 10), np.argsort(-values, kind="stable")[:10])
 
 
@@ -801,6 +812,8 @@ def test_chain_vectorized():
     a, b, c, d = check_chain(x, y)
     tol = 1e-13 * np.maximum(1.0, d)
     assert np.all(a <= b + tol) and np.all(b <= c + tol) and np.all(c <= d + tol)
+    # Lists reach the kernels unconverted and give the members bit for bit.
+    assert all(np.array_equal(m, n) for m, n in zip(check_chain(list(x), list(y)), (a, b, c, d)))
 
 
 @pytest.mark.parametrize(
