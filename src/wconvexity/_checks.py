@@ -26,14 +26,18 @@ def integer(value, name, lo, hi=math.inf):
 
 
 def positive(value, name, allow_zero=False):
-    """value as a float64 array; ValueError unless finite and > 0 (>= 0 with allow_zero)."""
+    """value as a float64 array; ValueError unless finite and > 0 (>= 0 with allow_zero).
+
+    Decided by min and max, which propagate NaN, with no boolean temporary.
+    """
     arr = np.asarray(value, dtype=np.float64)
-    if not np.isfinite(arr).all():
+    low, high = arr.min(initial=np.inf), arr.max(initial=-np.inf)
+    if not (-np.inf < low and high < np.inf):
         raise ValueError(f"{name} must be finite (got NaN or infinity)")
     if allow_zero:
-        if (arr < 0.0).any():
+        if low < 0.0:
             raise ValueError(f"{name} must be >= 0")
-    elif (arr <= 0.0).any():
+    elif low <= 0.0:
         raise ValueError(f"{name} must be > 0")
     return arr
 

@@ -48,8 +48,11 @@ def holder_mean(p, r, s):
         else:
             out = ((rr**p + ss**p) / 2.0) ** (1.0 / p)
             # ln is monotone, so the larger of |p ln r|, |p ln s| is |p| * max(-ln lo, ln hi).
-            use_stable = abs(p) * np.maximum(-np.log(lo), np.log(hi)) > _EXPONENT_GUARD
-            if use_stable.any():
+            # The batch's extremes bound it; the elementwise test runs only when that bound
+            # passes the guard less a 1e-9 margin, which covers a few ulp of log.
+            bound = abs(p) * max(-np.log(lo.min(initial=np.inf)), np.log(hi.max(initial=0.0)))
+            if bound > _EXPONENT_GUARD * (1 - 1e-9):
+                use_stable = abs(p) * np.maximum(-np.log(lo), np.log(hi)) > _EXPONENT_GUARD
                 # Factor out the dominant argument: base * ((1 + t) / 2)**(1/p)
                 # with t = (lo/hi)**|p| <= 1 keeps a few ulp for any |ln H|.
                 # An overflowing hi / lo gives the limit base * 2**(-1/p).

@@ -295,7 +295,8 @@ class _Part:
 
 def _top_k(a, k):
     # argsort(-a, kind="stable")[:k] without the full sort: the k largest, ties to the
-    # lower index.  a is never empty (a chunk holds a sample) nor NaN (gaps are finite).
+    # lower index.  a is never empty (a chunk holds a sample) nor NaN: gaps are finite,
+    # which _cell_part's abs_gap * mask argmax needs too (inf * 0 is NaN).
     kth = max(a.size - k, 0)
     idx = np.flatnonzero(a >= np.partition(a, kth)[kth])
     return idx[np.argsort(-a[idx], kind="stable")[:k]]
@@ -310,7 +311,8 @@ def _ranked(records, k):
 def _cell_part(p, q, x, y, lhs, rhs, records):
     """One cell's _Part; records=False counts signs only, with no worst, top or bottom."""
     gap = lhs - rhs
-    tol = significance_threshold(lhs, rhs)
+    # significance_threshold without its abs: lhs = W(H_p) and rhs = H_q(W, W) are > 0.
+    tol = SIGNIFICANCE_REL * np.maximum(np.maximum(lhs, rhs), 1.0)
     positive = gap > tol
     negative = gap < -tol
     counts = int(np.count_nonzero(positive)), int(np.count_nonzero(negative))
@@ -320,7 +322,8 @@ def _cell_part(p, q, x, y, lhs, rhs, records):
     abs_gap = np.abs(gap)
 
     def extreme(mask):
-        i = np.argmax(np.where(mask, abs_gap, -1.0))
+        # Masked-in gaps exceed tol > 0 and the rest read 0; with none, mask[0] is False.
+        i = np.argmax(abs_gap * mask)
         return (_record(p, q, columns, i),) if mask[i] else ()
 
     worst = tuple(_record(p, q, columns, i) for i in _top_k(abs_gap, _WORST_KEPT))

@@ -1,13 +1,17 @@
 """Power-mean tests: special orders, limits, symmetry, stability."""
 
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wconvexity import _checks
 from wconvexity.means import holder_mean, quartic_harmonic_form
+from wconvexity.verify import sample_pairs
 
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 orders = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -130,6 +134,106 @@ def test_equal_arguments_come_back_bit_for_bit(p):
         warnings.simplefilter("error")
         assert np.array_equal(holder_mean(p, r, r).view(np.uint64), r.view(np.uint64))
         assert all(holder_mean(p, x, x) == x for x in _EDGE_ARGUMENTS)
+
+
+def _elementwise_guard_mean(p, r, s):
+    # holder_mean for |p| >= 1e-5 as it was when every element took the
+    # overflow guard's two logs, before the batch's extremes decided it.
+    rr, ss = map(np.ascontiguousarray, np.broadcast_arrays(np.asarray(r, np.float64), np.asarray(s, np.float64)))
+    lo, hi = np.minimum(rr, ss), np.maximum(rr, ss)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        out = ((rr**p + ss**p) / 2.0) ** (1.0 / p)
+        use_stable = abs(p) * np.maximum(-np.log(lo), np.log(hi)) > 700.0
+        if use_stable.any():
+            base = hi if p > 0.0 else lo
+            log_half_sum = np.log1p(np.expm1(-abs(p) * np.log(hi / lo)) / 2.0)
+            out = np.where(use_stable, base * np.exp(log_half_sum / p), out)
+    return np.minimum(np.maximum(out, lo), hi)
+
+
+@pytest.mark.parametrize("p", (1.0, -1.0, 10.0, -3.0, 300.0, -300.0, 1e300, 0.37))
+def test_guard_from_the_extremes_equals_the_elementwise_guard(p):
+    # One argument at up to 300 ulp either side of e**(+-700/|p|), clipped to
+    # the doubles, in a batch long enough for the SIMD log; the rest well inside.
+    tiny, big = np.float64(5e-324), np.float64(np.finfo(np.float64).max)
+    rng = np.random.default_rng(26)
+    batches = 0
+    for sign in (1.0, -1.0):
+        with np.errstate(over="ignore", under="ignore"):
+            edge = np.clip(np.exp(np.float64(sign * 700.0 / abs(p))), tiny, big)
+        bits = edge.view(np.uint64).astype(np.int64) + np.arange(-300, 301)
+        edges = bits[(bits >= 1) & (bits <= big.view(np.int64))].view(np.float64)
+        for k, e in enumerate(edges):
+            r, s = rng.uniform(0.5, 2.0, (2, 19))
+            (r if k % 2 else s)[k % 19] = e
+            got, want = holder_mean(p, r, s), _elementwise_guard_mean(p, r, s)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (p, e)
+            batches += 1
+    assert batches >= 600
+    empty = np.empty(0)
+    assert holder_mean(p, empty, empty).shape == _elementwise_guard_mean(p, empty, empty).shape == (0,)
+    for r, s in ((2.0, 3.0), (1e-300, 1e300), (5e-324, big), (1.0, 1.0 + 2**-52)):
+        want = _elementwise_guard_mean(p, r, s)
+        assert np.float64(holder_mean(p, r, s)).view(np.uint64) == want.view(np.uint64), (r, s)
+        assert np.float64(holder_mean(p, np.array(r), np.array(s))).view(np.uint64) == want.view(np.uint64)
+
+
+def _peak_bytes(fun, *args):
+    fun(*args)  # first-call allocations
+    tracemalloc.start()
+    try:
+        fun(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_holder_mean_takes_no_full_width_guard():
+    # lo, hi and the power-mean temporaries peak at five columns of 8 * n
+    # bytes.  An elementwise overflow guard on every call took a sixth.
+    x, y = sample_pairs(42, 0, 2**15)
+    assert _peak_bytes(holder_mean, -0.5, x, y) / (8 * x.size) < 5.5
+
+
+def test_positive_builds_no_boolean_array():
+    # Two reductions: a boolean temporary of 2**15 bytes (or an isfinite one) would show.
+    x, _ = sample_pairs(42, 0, 2**15)
+    assert _peak_bytes(_checks.positive, x, "x") < 4096
+
+
+_FINITE = "x must be finite (got NaN or infinity)"
+_POSITIVE_TABLE = [
+    # (value, message without allow_zero, message with allow_zero); None accepts.
+    (math.nan, _FINITE, _FINITE),
+    (math.inf, _FINITE, _FINITE),
+    (-math.inf, _FINITE, _FINITE),
+    (-1.0, "x must be > 0", "x must be >= 0"),
+    (0.0, "x must be > 0", None),
+    (-0.0, "x must be > 0", None),
+    (5e-324, None, None),
+    ([math.nan, -1.0], _FINITE, _FINITE),
+    ([-1.0, math.nan], _FINITE, _FINITE),
+    ([-1.0, math.inf, 0.0], _FINITE, _FINITE),
+    ([-0.0, 0.0, 2.0], "x must be > 0", None),
+    ([], None, None),
+    (np.array(2.0), None, None),
+    (np.array(-0.0), "x must be > 0", None),
+    ([[1.0, 2.0], [3.0, 4.0]], None, None),
+    ([[1.0, 2.0], [0.0, 4.0]], "x must be > 0", None),
+    ([[1.0, 2.0], [-3.0, 4.0]], "x must be > 0", "x must be >= 0"),
+    ([[1.0, -math.inf], [3.0, 4.0]], _FINITE, _FINITE),
+]
+
+
+@pytest.mark.parametrize("value,strict,lenient", _POSITIVE_TABLE)
+def test_positive_outcomes_and_messages(value, strict, lenient):
+    for allow_zero, message in ((False, strict), (True, lenient)):
+        if message is None:
+            arr = _checks.positive(value, "x", allow_zero)
+            assert arr.dtype == np.float64 and arr.shape == np.shape(value)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _checks.positive(value, "x", allow_zero)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wconvexity import lambert, theory, verify
+from wconvexity.raster import build_raster
 from wconvexity.theory import ConvexityClass, HpqParams, _ln_g, classify, h_p
 from wconvexity.verify import (
     CASE_FIXTURES,
@@ -133,18 +134,24 @@ def _mass_above(r):
     return math.log(hi / r) / math.log(hi / lo)
 
 
-def test_sample_domain_clears_every_turning_radius():
+def _turning_radius(p, q):
     # With u = W(r) + 1, q - h_p(r) = Q(u) / u for Q(u) = -p u**2 + (q - 1) u + 1,
     # so g_pq turns at the roots u* > 1 of Q, at radius r* = (u* - 1) e**(u* - 1).
+    # The largest such r* (inf past the doubles), or None when Q has no root above 1.
+    roots = np.roots([-p, q - 1.0, 1.0])
+    u = roots.real[(roots.imag == 0.0) & (roots.real > 1.0)]
+    with np.errstate(over="ignore"):
+        return max((u - 1.0) * np.exp(u - 1.0)) if u.size else None
+
+
+def test_sample_domain_clears_every_turning_radius():
     radii = {}
     for p in GRID_AXIS:
         for q in GRID_AXIS:
             if classify(p, q) is not NEITHER:
                 continue
-            roots = np.roots([-p, q - 1.0, 1.0])
-            u = roots.real[(roots.imag == 0.0) & (roots.real > 1.0)]
-            assert u.size >= 1, (p, q)
-            radii[p, q] = max((u - 1.0) * np.exp(u - 1.0))
+            radii[p, q] = _turning_radius(p, q)
+            assert radii[p, q] is not None, (p, q)
     lo, hi = SAMPLE_DOMAIN
     assert all(lo < r < hi for r in radii.values())
     widest = max(radii, key=radii.get)
@@ -488,6 +495,50 @@ def test_top_k_matches_stable_argsort_including_ties():
     short = (np.array([2.0, 1.0, 2.0, 3.0] * 3)[:n] for n in (1, 9, 10, 11))
     for values in (np.abs(gap), np.round(np.abs(gap), 14), np.zeros(5), np.ones(30), *short):
         assert np.array_equal(_top_k(values, 10), np.argsort(-values, kind="stable")[:10])
+
+
+@pytest.mark.parametrize(
+    "gap",
+    [
+        [0.0, 0.0, 0.0, 0.0],  # no significant gap: both masks all False
+        [1.0, 0.5, 2.0, 0.25],  # positive mask all True
+        [-1.0, -0.5, -2.0, -0.25],  # negative mask all True
+        [0.0, 0.0, -0.5, 0.0],  # a single lane
+        [1.0, -1.0, 2.0, -2.0, 2.0, -2.0, 0.0],  # ties in |gap|, across and within signs
+        [0.0, -3.0, 1e-13, 0.5, -1e-13, 0.5],  # ties next to gaps under the threshold
+    ],
+)
+def test_cell_part_extremes_equal_the_where_argmax(gap):
+    # Masked-out lanes read 0 where np.where read -1: the same first maximum.
+    gap = np.array(gap)
+    rhs = np.full(gap.size, 4.0)
+    lhs = rhs + gap
+    x, y = np.arange(1.0, gap.size + 1.0), np.full(gap.size, 2.0)
+    part = verify._cell_part(-0.5, -1.0, x, y, lhs, rhs, True)
+    columns = (x, y, lhs, rhs, lhs - rhs)
+    gap, tol = columns[-1], significance_threshold(lhs, rhs)
+    for mask, got in ((gap > tol, part.top), (gap < -tol, part.bottom)):
+        i = np.argmax(np.where(mask, np.abs(gap), -1.0))
+        assert got == ((verify._record(-0.5, -1.0, columns, i),) if mask[i] else ())
+
+
+def test_every_default_raster_cell_is_graded_or_explained():
+    # Counts-only at 10k samples: every convex and concave cell of the default
+    # raster passes.  A failing "neither" cell has its turning radius r* past
+    # the window's upper edge, or passes at 100k samples.
+    cells = build_raster(-3.0, 3.0, -3.0, 3.0, 0.05).cells
+    counts = _scan(tuple((p, q) for p, q, _ in cells), 10_000, 42, records=False)
+    failing = [
+        (p, q)
+        for (p, q, cls), part in zip(cells, counts, strict=True)
+        if verify._verdict(cls, part.positive, part.negative) == "fail"
+    ]
+    assert all(classify(p, q) is NEITHER for p, q in failing)
+    beyond = [cell for cell in failing if _turning_radius(*cell) > SAMPLE_DOMAIN[1]]
+    rescanned = [cell for cell in failing if cell not in beyond]
+    for (p, q), part in zip(rescanned, _scan(tuple(rescanned), 100_000, 42, records=False)):
+        assert part.positive > 0 and part.negative > 0, (p, q)
+    assert (len(cells), len(failing), len(beyond)) == (14_641, 34, 32)
 
 
 def test_merge_keeps_the_earlier_record_among_equal_gaps():
