@@ -90,6 +90,8 @@ def build_raster(p_min, p_max, q_min, q_max, step):
         raise ValueError("raster window must satisfy p_min <= p_max and q_min <= q_max")
     if step <= 0.0:
         raise ValueError("step must be > 0")
+    if p_max - p_min == math.inf or q_max - q_min == math.inf:
+        raise ValueError("raster window width passes the double range")
     n_cells = _axis_size(p_min, p_max, step) * _axis_size(q_min, q_max, step)
     if n_cells > _MAX_CELLS:
         raise ValueError(f"raster of {n_cells:,} cells exceeds the limit of {_MAX_CELLS:,}")

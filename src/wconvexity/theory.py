@@ -92,12 +92,12 @@ def f1(r):
     return like(-1.0 / (wp1 * wp1), r)
 
 
-def _ln_g(p, q, r, w):
-    # (q * ln W(r), p * ln r, ln g_pq(r)); takes w = W(r) so a caller that
-    # also needs W evaluates it once.
-    a = q * np.log(w)
-    b = p * np.log(r)
-    return a, b, a - b - np.log1p(w)
+def _ln_g(p, q, ln_r, ln_w, ln1p_w):
+    # (q * ln W(r), p * ln r, ln g_pq(r)) from ln r, ln W(r) and log1p W(r),
+    # so a caller that holds a table of them takes no log.
+    a = q * ln_w
+    b = p * ln_r
+    return a, b, a - b - ln1p_w
 
 
 def g_pq(p, q, r):
@@ -113,7 +113,7 @@ def g_pq(p, q, r):
     arr = np.ascontiguousarray(positive(r, "r"))
     w = np.asarray(w0(arr))
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        a, b, ln_val = _ln_g(p, q, arr, w)
+        a, b, ln_val = _ln_g(p, q, np.log(arr), np.log(w), np.log1p(w))
         # NaN fails this too: it arises as inf - inf at extreme orders.
         if not np.all((ln_val >= _LN_TINY) & (ln_val <= _LN_MAX)):
             raise OverflowError("g_pq leaves the normal double range")

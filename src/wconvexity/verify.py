@@ -54,9 +54,11 @@ SIGNIFICANCE_REL = 1e-12
 SAMPLE_DOMAIN = (1e-6, 1e22)
 # Tie threshold for neighbour steps: lemma grid values, chain members.
 _STEP_SIGNIFICANCE = 1e-13
-# Log grid over [1e-9, 1e9] shared by the lemma checkers, and W on it.
+# Log grid over [1e-9, 1e9] shared by the lemma checkers, W on it, and the
+# logs that ln g_pq takes: ln r, ln W and log1p W.
 _LEMMA_GRID = np.logspace(-9.0, 9.0, 10_000)
 _LEMMA_W = w0(_LEMMA_GRID)
+_LEMMA_LOGS = np.log(_LEMMA_GRID), np.log(_LEMMA_W), np.log1p(_LEMMA_W)
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_BUDGET = 100_000
@@ -121,15 +123,26 @@ def _selftest_checks(samples, seed, inject_fault):
     for p, q in G_LEMMA_FIXTURES:
         res = check_g_lemma(p, q)
         yield res.passed, f"g-lemma p={p:g} q={q:g} ({res.expected}: {res.rises} up / {res.falls} down)"
-    cells = tuple(itertools.product(GRID_AXIS, GRID_AXIS))
-    for (p, q), part in zip(cells, _scan(cells, samples, seed, records=False)):
+    # The searches' first samples are the grid's: a head scan takes the grid and
+    # the searches on [0, samples), each search cell right after the p-row whose
+    # W(H_p) it shares, and a tail scan takes the searches' rest.  At the
+    # default samples the head is one chunk, which runs on this thread.
+    grid = tuple(itertools.product(GRID_AXIS, GRID_AXIS))
+    cells = grid + NEITHER_FIXTURES
+    head = sorted(range(len(cells)), key=lambda i: cells[i][0])
+    modes = [False if i < len(grid) else "extremes" for i in head]
+    scanned = dict(zip(head, _scan([cells[i] for i in head], samples, seed, modes)))
+    parts = [scanned[i] for i in range(len(cells))]
+    for (p, q), part in zip(grid, parts):
         cls = ConvexityClass.STRICTLY_CONVEX if inject_fault and (p, q) == (1.0, 1.0) else classify(p, q)
         yield (
             _verdict(cls, part.positive, part.negative) == "pass",
             f"region p={p:g} q={q:g} ({cls.value}: {part.positive} pos / {part.negative} neg)",
         )
     budget = 10 * samples
-    for (p, q), pair in zip(NEITHER_FIXTURES, _counterexamples(NEITHER_FIXTURES, budget, seed)):
+    tail = _scan(NEITHER_FIXTURES, budget - samples, seed, "extremes", start=samples)
+    searches = map(_merge_parts, parts[len(grid):], tail)
+    for (p, q), pair in zip(NEITHER_FIXTURES, _witnesses(NEITHER_FIXTURES, searches, budget)):
         if isinstance(pair, SearchExhaustedError):
             yield False, f"counterexample p={p:g} q={q:g} ({pair})"
         else:
@@ -309,7 +322,7 @@ def _ranked(records, k):
 
 
 def _cell_part(p, q, x, y, lhs, rhs, records):
-    """One cell's _Part; records=False counts signs only, with no worst, top or bottom."""
+    """One cell's _Part: counts only for records=False, top and bottom for "extremes", all for True."""
     gap = lhs - rhs
     # significance_threshold without its abs: lhs = W(H_p) and rhs = H_q(W, W) are > 0.
     tol = SIGNIFICANCE_REL * np.maximum(np.maximum(lhs, rhs), 1.0)
@@ -326,24 +339,26 @@ def _cell_part(p, q, x, y, lhs, rhs, records):
         i = np.argmax(abs_gap * mask)
         return (_record(p, q, columns, i),) if mask[i] else ()
 
-    worst = tuple(_record(p, q, columns, i) for i in _top_k(abs_gap, _WORST_KEPT))
-    return _Part(*counts, worst, extreme(positive), extreme(negative))
+    worst = _top_k(abs_gap, _WORST_KEPT) if records != "extremes" else ()
+    return _Part(*counts, tuple(_record(p, q, columns, i) for i in worst), extreme(positive), extreme(negative))
 
 
 def _scan_part(cells, seed, start, count, records=True):
     """Scan samples [start, start+count) into one _Part per (p, q) cell.
 
-    W(H_p(x, y)) is taken once per distinct p, W(x) and W(y) once, and
-    H_q(W(x), W(y)) once per distinct q; the cells share these columns.
-    Each column is made just before its first cell and dropped after its
-    last, W(x) and W(y) once every H_q exists: a 1x1 scan keeps the memory
-    and page faults of one comparison.
+    records is one _cell_part mode for every cell, or a sequence of one
+    mode per cell.  W(H_p(x, y)) is taken once per distinct p, W(x) and
+    W(y) once, and H_q(W(x), W(y)) once per distinct q; the cells share
+    these columns.  Each column is made just before its first cell and
+    dropped after its last, W(x) and W(y) once every H_q exists: a 1x1
+    scan keeps the memory and page faults of one comparison.
     """
     x, y = sample_pairs(seed, start, count)
+    modes = records if isinstance(records, (list, tuple)) else [records] * len(cells)
     last = {key: i for i, cell in enumerate(cells) for key in zip("pq", cell)}
     todo_q = {q for _, q in cells}
     columns, w, parts = {}, None, []
-    for i, (p, q) in enumerate(cells):
+    for i, ((p, q), mode) in enumerate(zip(cells, modes, strict=True)):
         if ("p", p) not in columns:
             columns["p", p] = w0(holder_mean(p, x, y))
         if ("q", q) not in columns:
@@ -351,7 +366,7 @@ def _scan_part(cells, seed, start, count, records=True):
             columns["q", q] = holder_mean(q, *w)
             todo_q.discard(q)
             w = w if todo_q else None
-        parts.append(_cell_part(p, q, x, y, columns["p", p], columns["q", q], records))
+        parts.append(_cell_part(p, q, x, y, columns["p", p], columns["q", q], mode))
         # A dropped column keeps its key, so it is never made again.
         columns.update((key, None) for key in zip("pq", (p, q)) if last[key] == i)
     return parts
@@ -389,19 +404,20 @@ def _workers():
     return os.cpu_count() or 1
 
 
-def _scan(cells, n, seed, records=True):
-    """Samples [0, n) in chunks of _CHUNK, merged into one _Part per cell.
+def _scan(cells, n, seed, records=True, start=0):
+    """Samples [start, start+n) in chunks of _CHUNK, merged into one _Part per cell.
 
-    The chunks run on up to _workers() threads, one chunk per thread at a
-    time: NumPy releases the GIL in its loops, and _scan_part is pure.  A
-    scan with one worker or one chunk starts no thread.  The calling
-    thread merges the pieces in sample order, so the result does not
-    depend on the worker count.
+    records is as for _scan_part.  The chunks run on up to _workers()
+    threads, one chunk per thread at a time: NumPy releases the GIL in its
+    loops, and _scan_part is pure.  A scan with one worker or one chunk
+    starts no thread.  The calling thread merges the pieces in sample
+    order, so the result does not depend on the worker count.
     """
-    starts = range(0, n, _CHUNK)
+    stop = start + n
+    starts = range(start, stop, _CHUNK)
 
-    def scan(start):
-        return _scan_part(cells, seed, start, min(_CHUNK, n - start), records)
+    def scan(i):
+        return _scan_part(cells, seed, i, min(_CHUNK, stop - i), records)
 
     workers = min(_workers(), len(starts))
     with ThreadPoolExecutor(workers) as pool:
@@ -538,8 +554,14 @@ def _counterexamples(cells, budget, seed):
     One scan and one _refine serve them all; each cell gets its
     CounterexamplePair or the SearchExhaustedError raised for it alone.
     """
+    return _witnesses(cells, _scan(cells, budget, seed, "extremes"), budget)
+
+
+def _witnesses(cells, parts, budget):
+    # _counterexamples' result from each cell's part of samples [0, budget):
+    # one _refine of every cell's top and bottom, in cell order.
     results, searched, origins = [], [], []
-    for (p, q), part in zip(cells, _scan(cells, budget, seed)):
+    for (p, q), part in zip(cells, parts, strict=True):
         missing = [name for name, ext in (("positive", part.top), ("negative", part.bottom)) if not ext]
         if missing:
             results.append(SearchExhaustedError(
@@ -684,5 +706,5 @@ def check_g_lemma(p, q):
     """
     p, q = finite(p, "p"), finite(q, "q")
     with np.errstate(over="ignore", invalid="ignore"):
-        ln_g = _ln_g(p, q, _LEMMA_GRID, _LEMMA_W)[2]
+        ln_g = _ln_g(p, q, *_LEMMA_LOGS)[2]
     return _lemma_check(p, q, ln_g, _G_SHAPE[classify(p, q)])

@@ -144,6 +144,19 @@ def test_raster_past_the_cell_cap_writes_nothing(capsys, tmp_path):
     assert not out.exists()
 
 
+# -1e308 in digits: argparse takes "-1e308" for an option.
+_WIDE = (str(-(10**308)), "1e308")
+
+
+@pytest.mark.parametrize("window", [[*_WIDE, "0", "0"], ["0", "0", *_WIDE]], ids=["p", "q"])
+def test_raster_wider_than_the_doubles_is_refused(capsys, tmp_path, window):
+    out = tmp_path / "map.csv"
+    code, _, err = invoke(capsys, ["raster", "--window", *window, "--step", "1e308", "--out", str(out)])
+    assert code == 2
+    assert "window width passes the double range" in err
+    assert not out.exists()
+
+
 def test_raster_unwritable_path(capsys, tmp_path):
     code, _, _ = invoke(capsys, ["raster", "--out", str(tmp_path)])  # a directory
     assert code == 2
@@ -205,6 +218,18 @@ def test_selftest_injected_fault_fails(capsys):
             ["--samples", "1", "--seed", "42"],
             1,
             "158ffc3ef705375e625a1a9f1c85a340964f3b7eae74b2773093c1ff776146ce",
+        ),
+        # A head scan of two chunks, and a tail that starts off a chunk edge.
+        (
+            ["--samples", "40000", "--seed", "7"],
+            0,
+            "eed60fb1d0a1ccc1b9d522f3b3a02331466de4d770bdb5e49e9471a0c5e140d5",
+        ),
+        # 30-sample searches.
+        (
+            ["--samples", "3", "--seed", "5"],
+            1,
+            "35f589bc38252a7cd5aef5ddc7ebaa3c6054b022727713b664de1d514b1798e0",
         ),
     ],
 )

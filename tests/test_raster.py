@@ -193,6 +193,13 @@ def test_a_raster_past_the_cell_cap_is_refused_before_it_is_built(step):
         raster.build_raster(-3.0, 3.0, -3.0, 3.0, step)
 
 
+@pytest.mark.parametrize("window", [(-1e308, 1e308, 0.0, 0.0), (0.0, 0.0, -1e308, 1e308)], ids=["p", "q"])
+def test_a_window_wider_than_the_doubles_is_refused_for_its_width(window):
+    # Three lattice points along the wide axis, but hi - lo overflows to inf.
+    with pytest.raises(ValueError, match="^raster window width passes the double range$"):
+        raster.build_raster(*window, 1e308)
+
+
 def test_the_cell_cap_admits_a_raster_of_exactly_its_size(monkeypatch):
     monkeypatch.setattr(raster, "_MAX_CELLS", 9)
     assert len(raster.build_raster(0.0, 1.0, 0.0, 1.0, 0.5).cells) == 9

@@ -379,6 +379,54 @@ def test_w0_calls_per_chunk(monkeypatch, chunk, n, chunks):
     assert points == []
 
 
+# 1 and 3 samples make one-chunk heads and tails.  At _CHUNK = 7, 100 samples
+# make a head of 15 chunks and a tail that starts mid-chunk (1,000 took 9 s,
+# 40,000 would take minutes); at the default _CHUNK, 40,000 samples make a
+# head of two chunks and a tail that starts mid-chunk.
+@pytest.mark.parametrize(
+    "chunk,samples",
+    [(7, 1), (7, 3), (7, 100), (None, 1), (None, 3), (None, 1_000), (None, 40_000)],
+)
+def test_selftest_head_and_tail_scans_equal_whole_scans(monkeypatch, chunk, samples):
+    # The region labels' counts are the grid's own scan's, and the merged
+    # search parts that the witness step gets are a whole scan's, less worst.
+    if chunk is not None:
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+    searched, real_witnesses = [], verify._witnesses
+
+    def witnesses(cells, parts, budget):
+        searched.extend(parts)
+        return real_witnesses(cells, searched, budget)
+
+    monkeypatch.setattr(verify, "_witnesses", witnesses)
+    region = re.compile(r"region .*: (\d+) pos / (\d+) neg")
+    labels = [label for _, label in verify._selftest_checks(samples, 42, False)]
+    counts = [tuple(map(int, m.groups())) for m in map(region.match, labels) if m]
+    grid = tuple(itertools.product(GRID_AXIS, GRID_AXIS))
+    assert counts == [(part.positive, part.negative) for part in _scan(grid, samples, 42, records=False)]
+    whole = _scan(NEITHER_FIXTURES, 10 * samples, 42)
+    assert searched == [dataclasses.replace(part, worst=()) for part in whole]
+
+
+def test_selftest_shares_the_grid_scan_with_the_searches(monkeypatch):
+    # The searches' first 10,000 samples come from the grid's one-chunk scan:
+    # 13 w0 calls for the grid and the four search cells, 6 per tail chunk,
+    # 11 for the polish and 8 for the chain (56 calls over 776,124 elements
+    # and 148 holder_mean calls over 1,054,083 when the searches scanned
+    # all 100,000 samples on their own).
+    calls = {"w0": [], "holder_mean": []}
+
+    def traced(real, sizes):
+        # The last argument is the batch: z of w0, s of holder_mean(p, r, s).
+        return lambda *args: sizes.append(np.size(args[-1])) or real(*args)
+
+    for name, sizes in calls.items():
+        monkeypatch.setattr(verify, name, traced(getattr(verify, name), sizes))
+    assert all(ok for ok, _ in verify._selftest_checks(10_000, 42, False))
+    assert (len(calls["w0"]), sum(calls["w0"])) == (50, 716_124)
+    assert (len(calls["holder_mean"]), sum(calls["holder_mean"])) == (142, 994_083)
+
+
 @pytest.mark.parametrize(
     "cell,seed,chunk,n",
     [
@@ -1116,7 +1164,8 @@ def test_check_h_lemma_grades_h_p_on_the_lemma_grid(p):
 @pytest.mark.parametrize("p,q", G_LEMMA_FIXTURES)
 def test_check_g_lemma_grades_ln_g_on_the_lemma_grid(p, q):
     r = verify._LEMMA_GRID
-    assert _fields(check_g_lemma(p, q)) == _graded(_ln_g(p, q, r, lambert.w0(r))[2])
+    w = lambert.w0(r)
+    assert _fields(check_g_lemma(p, q)) == _graded(_ln_g(p, q, np.log(r), np.log(w), np.log1p(w))[2])
 
 
 def test_lemma_checks_call_no_w0(monkeypatch):
