@@ -116,7 +116,7 @@ def _selftest_checks(samples, seed, inject_fault):
 
     inject_fault flips the (1, 1) region expectation, so the run must fail.
     """
-    samples, seed = _scan_args(samples, seed, "n_samples")
+    samples, seed = _scan_args(samples, seed, "n_samples", 2**63 // 10)  # the searches read 10 * samples
     for p in H_LEMMA_FIXTURES:
         res = check_h_lemma(p)
         yield res.passed, f"h-lemma p={p:g} ({res.expected}: {res.rises} up / {res.falls} down)"
@@ -387,9 +387,9 @@ def _merge_parts(a, b):
     )
 
 
-def _scan_args(n, seed, name):
-    # Shared argument checks of every caller of _scan.
-    return integer(n, name, 1), integer(seed, "seed", 0, 2**64)
+def _scan_args(n, seed, name, n_max=2**63):
+    # Shared argument checks of every caller of _scan, before any work: sample indices stay below 2**63.
+    return integer(n, name, 1, n_max + 1), integer(seed, "seed", 0, 2**64)
 
 
 def _cell(params):

@@ -1,6 +1,8 @@
-"""Session setup shared by every test module."""
+"""Session setup shared by every test module, and the benchmark's pinned digests."""
 
+import json
 import warnings
+from pathlib import Path
 
 # When a hypothesis test fails, hypothesis's pytest plugin imports
 # hypothesis.extra._patching, whose import warns (DeprecationWarning from
@@ -10,3 +12,9 @@ import warnings
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
+
+# The one home of the pinned output digests: each benchmark argv, with output
+# files as {report}, {csv} and {svg}, maps to the sha256 of stdout or of each
+# named file.  Tests read a digest here rather than repeat it.
+_PINNED_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
+PINNED = json.loads(_PINNED_PATH.read_text(encoding="utf-8"))

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import wconvexity
+from conftest import PINNED
 from wconvexity import lambert, means, raster, theory, verify
 from wconvexity.cli import run
 from wconvexity.theory import classify
@@ -182,8 +183,14 @@ def test_selftest_seed_stability(capsys):
         assert code == 0
 
 
-@pytest.mark.parametrize("argv", [["--samples", "0"], ["--seed", "-1"]])
-def test_selftest_checks_arguments_before_any_check(capsys, argv):
+def _stub_scan(*args, **kwargs):
+    raise AssertionError("the arguments reached the scan")
+
+
+# The last: its searches would read samples past index 2**63.
+@pytest.mark.parametrize("argv", [["--samples", "0"], ["--seed", "-1"], ["--samples", str(2**63 // 10 + 1)]])
+def test_selftest_checks_arguments_before_any_check(capsys, monkeypatch, argv):
+    monkeypatch.setattr(verify, "_scan", _stub_scan)
     code, out, err = invoke(capsys, ["selftest", *argv])
     assert code == 2
     assert out == ""
@@ -207,7 +214,7 @@ def test_selftest_injected_fault_fails(capsys):
 @pytest.mark.parametrize(
     "argv,exit_code,digest",
     [
-        ([], 0, "e0f0800ada52876d15f0fbe08e78c4ab2800c6e21d003f651b1f007e88dd199d"),
+        ([], 0, PINNED["selftest --samples 10000 --seed 42"]["stdout"]),
         (
             ["--samples", "1000", "--seed", "5", "--inject-fault"],
             1,
@@ -292,30 +299,22 @@ def test_selftest_does_not_depend_on_simd_dispatch(capsys):
     assert result["avx512"] is False  # the override took effect
     selftests, others = result["runs"][: len(_SELFTESTS)], result["runs"][len(_SELFTESTS) :]
     assert [[code, hashlib.sha256(out.encode()).hexdigest()] for code, out in selftests] == [
-        [0, "d34d223c7b8968b57b7cd373b74d46fb99bc82992e238834680c8fcfb5234d5d"],
-        [0, "e0f0800ada52876d15f0fbe08e78c4ab2800c6e21d003f651b1f007e88dd199d"],
+        [0, PINNED["selftest --samples 1000 --seed 42"]["stdout"]],
+        [0, PINNED["selftest --samples 10000 --seed 42"]["stdout"]],
     ]
     for argv, (code, out) in zip(_DISPATCH_DEPENDENT, others):
         expected_code, expected_out, _ = invoke(capsys, argv)
         assert (code, _without_record_digits(out)) == (expected_code, _without_record_digits(expected_out)), argv
 
 
-# The benchmark's pinned outputs: argv (output files as {report}, {csv} and
-# {svg}) -> sha256 of stdout or of each named file.
-_PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
-_PINNED_DIGESTS = json.loads(_PINNED.read_text(encoding="utf-8")) if _PINNED.exists() else {}
-
-
-@pytest.mark.parametrize(
-    "key", sorted(_PINNED_DIGESTS) or [pytest.param(None, marks=pytest.mark.skip(reason=f"{_PINNED.name} is absent"))]
-)
+@pytest.mark.parametrize("key", sorted(PINNED))
 def test_benchmark_pinned_outputs(capsys, tmp_path, key):
     # 3 of these digests hold only where NumPy dispatches to AVX-512.
     _skip_without_avx512()
     files = {name: tmp_path / name for name in ("report", "csv", "svg")}
     code, out, _ = invoke(capsys, [arg.format(**files) for arg in key.split(" ")])
     assert code == 0
-    for name, digest in _PINNED_DIGESTS[key].items():
+    for name, digest in PINNED[key].items():
         data = out.encode() if name == "stdout" else files[name].read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
 

@@ -14,13 +14,13 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import PINNED
 from wconvexity import raster
 from wconvexity.cli import run
 from wconvexity.theory import ConvexityClass, classify
 
 # The default `raster --svg` outputs at step 0.05, as pinned by perfbench.
-DEFAULT_CSV_SHA256 = "9a895d60751d46053d906f2ee92d703632fe69fd443b829631158195f1abffd2"
-DEFAULT_SVG_SHA256 = "915c624a64f8c42e691454778025f2fae16422b041ee2f76d366c1562179a81b"
+DEFAULT_DIGESTS = PINNED["raster --window -3.0 3.0 -3.0 3.0 --step 0.05 --out {csv} --svg {svg}"]
 
 _REFERENCE_FILL = {
     ConvexityClass.STRICTLY_CONVEX: raster.COLOR_CONVEX,
@@ -82,8 +82,8 @@ def test_default_outputs_are_pinned(tmp_path, capsys):
     csv_path, svg_path = tmp_path / "map.csv", tmp_path / "map.svg"
     assert run(["raster", "--out", str(csv_path), "--svg", str(svg_path)]) == 0
     capsys.readouterr()
-    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == DEFAULT_CSV_SHA256
-    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == DEFAULT_SVG_SHA256
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == DEFAULT_DIGESTS["csv"]
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == DEFAULT_DIGESTS["svg"]
 
 
 # The default window shifted by whole steps, as perfbench rotates it.

@@ -162,6 +162,17 @@ def test_sample_domain_clears_every_turning_radius():
     assert _mass_above(radii[widest]) == pytest.approx(0.128, abs=1e-3)
 
 
+@pytest.mark.parametrize("q, ln_radius", [(-0.05, 108), (-1.0, 204), (-3.0, 405)])
+def test_a_turning_radius_past_the_window_shows_one_sign(q, ln_radius):
+    # The documented limit of SAMPLE_DOMAIN: these "neither" cells turn past its
+    # upper edge, so every sampled gap that counts is positive.
+    assert round(math.log(_turning_radius(-0.01, q))) == ln_radius
+    report = verify_region((-0.01, q))
+    assert (report.n_gap_positive, report.n_gap_negative, report.verdict) == (10_000, 0, "fail")
+    with pytest.raises(SearchExhaustedError, match="no significant negative gap"):
+        find_counterexamples((-0.01, q))
+
+
 # ---------------------------------------------------------------- compare_at
 
 
@@ -614,11 +625,36 @@ def test_merge_keeps_the_earlier_record_among_equal_gaps():
     assert _merge_parts(later, earlier).worst == later.worst
 
 
-def test_verify_region_validates_arguments():
+class _Scanned(Exception):
+    """Raised by a stubbed _scan: the call passed its argument checks."""
+
+
+def _stub_scan(*args, **kwargs):
+    raise _Scanned
+
+
+def test_verify_region_validates_arguments(monkeypatch):
     with pytest.raises(ValueError):
         verify_region(HpqParams(1.0, 1.0), 0, 42)
     with pytest.raises(ValueError):
         verify_region(HpqParams(1.0, 1.0), 100, -5)
+    # Sample indices stay below 2**63, and selftest's searches read 10 * samples.
+    # A count past that is refused before the scan, which would first submit one
+    # future per chunk; the largest allowed counts reach it.
+    monkeypatch.setattr(verify, "_scan", _stub_scan)
+    with pytest.raises(ValueError, match="n_samples must be"):
+        verify_region((1.0, 1.0), 2**63 + 1)
+    with pytest.raises(ValueError, match="budget must be"):
+        find_counterexamples((2.0, 3.0), 2**63 + 1)
+    with pytest.raises(ValueError, match="n_samples must be"):
+        next(verify._selftest_checks(2**63 // 10 + 1, 42, False))
+    for call in (
+        lambda: verify_region((1.0, 1.0), 2**63),
+        lambda: find_counterexamples((2.0, 3.0), 2**63),
+        lambda: list(verify._selftest_checks(2**63 // 10, 42, False)),
+    ):
+        with pytest.raises(_Scanned):
+            call()
 
 
 @pytest.mark.parametrize(
