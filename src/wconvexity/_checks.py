@@ -16,12 +16,12 @@ def finite(value, name):
     return value
 
 
-def integer(value, name, lo, hi=math.inf):
+def integer(value, name, lo, hi):
     """value as an int in [lo, hi); ValueError unless a whole number (Python or NumPy) in range."""
     if not isinstance(value, (int, np.integer)) and not float(value).is_integer():
         raise ValueError(f"{name} must be an integer")
     if not lo <= int(value) < hi:
-        raise ValueError(f"{name} must be >= {lo}" + (f" and < {hi}" if hi < math.inf else ""))
+        raise ValueError(f"{name} must be >= {lo} and < {hi}")
     return int(value)
 
 

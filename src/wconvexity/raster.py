@@ -164,7 +164,7 @@ def write_svg(raster, path):
         n = 256
         for i in range(n + 1):
             p = curve_lo + (curve_hi - curve_lo) * i / n
-            q = c_of_p(max(-1.0, min(0.0, p)))
+            q = c_of_p(p)
             if y_lo <= q <= y_hi:
                 pts.append(f"{sx(p):.2f},{sy(q):.2f}")
         if len(pts) >= 2:

@@ -123,17 +123,15 @@ def _selftest_checks(samples, seed, inject_fault):
     for p, q in G_LEMMA_FIXTURES:
         res = check_g_lemma(p, q)
         yield res.passed, f"g-lemma p={p:g} q={q:g} ({res.expected}: {res.rises} up / {res.falls} down)"
-    # The searches' first samples are the grid's: a head scan takes the grid and
-    # the searches on [0, samples), each search cell right after the p-row whose
-    # W(H_p) it shares, and a tail scan takes the searches' rest.  At the
+    # The searches' first samples are the grid's: a head scan takes each distinct
+    # cell of the grid and the searches once on [0, samples), sorted so that each
+    # p-row shares its W(H_p), and a tail scan takes the searches' rest.  At the
     # default samples the head is one chunk, which runs on this thread.
     grid = tuple(itertools.product(GRID_AXIS, GRID_AXIS))
-    cells = grid + NEITHER_FIXTURES
-    head = sorted(range(len(cells)), key=lambda i: cells[i][0])
-    modes = [False if i < len(grid) else "extremes" for i in head]
-    scanned = dict(zip(head, _scan([cells[i] for i in head], samples, seed, modes)))
-    parts = [scanned[i] for i in range(len(cells))]
-    for (p, q), part in zip(grid, parts):
+    head = sorted({*grid, *NEITHER_FIXTURES})
+    modes = ["extremes" if cell in NEITHER_FIXTURES else False for cell in head]
+    parts = dict(zip(head, _scan(head, samples, seed, modes)))
+    for (p, q), part in zip(grid, map(parts.get, grid)):
         cls = ConvexityClass.STRICTLY_CONVEX if inject_fault and (p, q) == (1.0, 1.0) else classify(p, q)
         yield (
             _verdict(cls, part.positive, part.negative) == "pass",
@@ -141,7 +139,7 @@ def _selftest_checks(samples, seed, inject_fault):
         )
     budget = 10 * samples
     tail = _scan(NEITHER_FIXTURES, budget - samples, seed, "extremes", start=samples)
-    searches = map(_merge_parts, parts[len(grid):], tail)
+    searches = map(_merge_parts, map(parts.get, NEITHER_FIXTURES), tail)
     for (p, q), pair in zip(NEITHER_FIXTURES, _witnesses(NEITHER_FIXTURES, searches, budget)):
         if isinstance(pair, SearchExhaustedError):
             yield False, f"counterexample p={p:g} q={q:g} ({pair})"
@@ -410,8 +408,9 @@ def _scan(cells, n, seed, records=True, start=0):
     records is as for _scan_part.  The chunks run on up to _workers()
     threads, one chunk per thread at a time: NumPy releases the GIL in its
     loops, and _scan_part is pure.  A scan with one worker or one chunk
-    starts no thread.  The calling thread merges the pieces in sample
-    order, so the result does not depend on the worker count.
+    starts no thread.  The calling thread queues 64 chunks at a time (31
+    make a 1M-sample scan) and folds each piece in sample order as it
+    arrives: the result does not depend on the worker count, nor memory on n.
     """
     stop = start + n
     starts = range(start, stop, _CHUNK)
@@ -421,8 +420,9 @@ def _scan(cells, n, seed, records=True, start=0):
 
     workers = min(_workers(), len(starts))
     with ThreadPoolExecutor(workers) as pool:
-        pieces = (pool.map if workers > 1 else map)(scan, starts)
-        return [functools.reduce(_merge_parts, parts) for parts in zip(*pieces)]
+        batches = (starts[i : i + 64] for i in range(0, len(starts), 64))
+        pieces = itertools.chain.from_iterable((pool.map if workers > 1 else map)(scan, b) for b in batches)
+        return functools.reduce(lambda a, b: list(map(_merge_parts, a, b)), pieces)
 
 
 def _verdict(expected, n_positive, n_negative):
@@ -548,18 +548,9 @@ def _refine(cells, origins):
     return tuple(o if s * r.gap < abs(o.gap) else r for o, s, r in zip(origins, signs, recs))
 
 
-def _counterexamples(cells, budget, seed):
-    """find_counterexamples over checked arguments for many "neither" cells.
-
-    One scan and one _refine serve them all; each cell gets its
-    CounterexamplePair or the SearchExhaustedError raised for it alone.
-    """
-    return _witnesses(cells, _scan(cells, budget, seed, "extremes"), budget)
-
-
 def _witnesses(cells, parts, budget):
-    # _counterexamples' result from each cell's part of samples [0, budget):
-    # one _refine of every cell's top and bottom, in cell order.
+    # Each cell's CounterexamplePair, or its own SearchExhaustedError, from its
+    # "extremes" part of samples [0, budget): one _refine of all tops and bottoms.
     results, searched, origins = [], [], []
     for (p, q), part in zip(cells, parts, strict=True):
         missing = [name for name, ext in (("positive", part.top), ("negative", part.bottom)) if not ext]
@@ -591,7 +582,7 @@ def find_counterexamples(params, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     cell, (budget, seed) = _cell(params), _scan_args(budget, seed, "budget")
     if classify(*cell) is not ConvexityClass.NEITHER:
         raise ValueError("find_counterexamples requires a 'neither' pair")
-    (pair,) = _counterexamples((cell,), budget, seed)
+    (pair,) = _witnesses((cell,), _scan((cell,), budget, seed, "extremes"), budget)
     if isinstance(pair, SearchExhaustedError):
         raise pair
     return pair

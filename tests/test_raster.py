@@ -10,9 +10,10 @@ before that, so any window where the two differ by one byte fails here.
 
 import dataclasses
 import hashlib
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import PINNED
 from wconvexity import raster
@@ -163,6 +164,28 @@ _STEPS = st.one_of(st.sampled_from([0.0625, 0.05, 0.25]), st.floats(1e-3, 1.0))
 @given(_STEPS, _EDGES, st.floats(0.0, 30.0), _EDGES, st.floats(0.0, 60.0))
 def test_build_raster_equals_per_cell_classify_on_drawn_windows(step, p_min, p_cells, q_min, q_cells):
     assert_classified_per_cell((p_min, p_min + p_cells * step, q_min, q_min + q_cells * step), step)
+
+
+# Window edges at the curve's ends -1 and 0, their neighbouring doubles and subnormals, or anywhere.
+_CURVE_EDGES = st.one_of(
+    st.sampled_from([-1.0, math.nextafter(-1.0, 0.0), math.nextafter(-1.0, -2.0), -0.0, 0.0, -5e-324, 5e-324]),
+    st.floats(-2.0, 1.0),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_CURVE_EDGES, _CURVE_EDGES, st.one_of(st.just(5e-324), st.floats(1e-9, 0.5)))
+def test_the_curve_is_drawn_for_every_window_that_meets_its_p_range(tmp_path_factory, a, b, step):
+    # c_of_p refuses any p outside [-1, 0], and the curve's 257 points take no
+    # clamp.  Half of a 5e-324 step is 0, so the window's edges are the plot's.
+    # The q range holds the whole curve, so every point is drawn.
+    p_min, p_max = sorted((a, b))
+    half = step / 2.0
+    assume(max(p_min - half, -1.0) < min(p_max + half, 0.0))
+    path = tmp_path_factory.getbasetemp() / "curve.svg"
+    raster.write_svg(raster.RegionRaster(p_min, p_max, -1.0, 1.0, step, ()), path)
+    (curve,) = [line for line in path.read_text().splitlines() if line.startswith("<polyline ")]
+    assert curve.count(",") == 257
 
 
 @pytest.mark.parametrize(

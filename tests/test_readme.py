@@ -1,6 +1,8 @@
-"""README stays true: its defaults, the constants it quotes and its example commands."""
+"""README stays true: its layout, defaults, the constants it quotes and its example commands."""
 
 import ast
+import importlib
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -9,6 +11,21 @@ from wconvexity import lambert, means, raster, theory, verify
 from wconvexity.cli import build_parser, run
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_layout_names_each_modules_public_functions():
+    # A module line of the Layout block names exactly the functions of the module's __all__.
+    block = re.search(r"## Layout\n\n```\n(.*?)```", README, re.DOTALL)
+    assert block, "README has no Layout block"
+    listed = dict(re.findall(r"^  (\w+)\.py +(.+)$", block[1], re.MULTILINE))
+    public = {}
+    for name in listed:
+        module = importlib.import_module(f"wconvexity.{name}")
+        if hasattr(module, "__all__"):
+            public[name] = {n for n in module.__all__ if inspect.isfunction(getattr(module, n))}
+    assert set(public) == {"lambert", "means", "theory", "verify", "raster", "cli"}
+    for name, functions in public.items():
+        assert set(listed[name].split(", ")) == functions, name
 
 
 def test_defaults_sentence_matches_the_parser():

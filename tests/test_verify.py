@@ -1,6 +1,7 @@
 """Verifier tests: sampling, region reports, counterexamples, lemma checks."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -30,7 +31,6 @@ from wconvexity.verify import (
     _WORST_KEPT,
     _Part,
     _compare,
-    _counterexamples,
     _merge_parts,
     _refine,
     _scan,
@@ -347,7 +347,24 @@ def test_scan_drops_columns_after_their_last_cell():
     assert extra / (8 * count) < 2
 
 
-@pytest.mark.parametrize("chunk,n", [(7, 50), (None, 1_000), (None, 70_000)])
+def test_scan_memory_does_not_grow_with_the_sample_count(monkeypatch):
+    # 2**28 samples are 8,192 chunks on two workers.  With _scan_part stubbed,
+    # only the scan's queue and merge allocate: queuing every chunk up front
+    # and keeping every piece to the end peaked at 13.1 MiB.
+    empty = [_Part(0, 0, (), (), ())]
+    monkeypatch.setattr(verify, "_workers", lambda: 2)
+    monkeypatch.setattr(verify, "_scan_part", lambda *args: empty)
+    tracemalloc.start()
+    try:
+        assert _scan(((0.0, 0.5),), 2**28, 42) == empty
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+# 450 samples at _CHUNK = 7 are 65 chunks: more than one queue of 64.
+@pytest.mark.parametrize("chunk,n", [(7, 50), (7, 450), (None, 1_000), (None, 70_000)])
 def test_grid_reports_equal_per_cell_reports(monkeypatch, chunk, n):
     # One scan of a grid gives each cell the part that a scan of it alone
     # gives, and so the counts and records of its verify_region report;
@@ -385,7 +402,7 @@ def test_w0_calls_per_chunk(monkeypatch, chunk, n, chunks):
     assert len(calls) == 3 * chunks + 11  # the scan, then one polish of 11 _compare calls
     assert points == []
     calls.clear()
-    _counterexamples(NEITHER_FIXTURES, n, 42)
+    verify._witnesses(NEITHER_FIXTURES, _scan(NEITHER_FIXTURES, n, 42, "extremes"), n)
     assert len(calls) == 6 * chunks + 11  # W(H_p) per cell, W(x), W(y); one lockstep polish
     assert points == []
 
@@ -424,11 +441,13 @@ def test_selftest_shares_the_grid_scan_with_the_searches(monkeypatch):
     # 13 w0 calls for the grid and the four search cells, 6 per tail chunk,
     # 11 for the polish and 8 for the chain (56 calls over 776,124 elements
     # and 148 holder_mean calls over 1,054,083 when the searches scanned
-    # all 100,000 samples on their own).
-    calls = {"w0": [], "holder_mean": []}
+    # all 100,000 samples on their own).  The head scans the 123 distinct
+    # cells once ((-2, -3) and (-0.5, -1) are grid and search cells), and each
+    # of the three tail chunks the four search cells: 135 _cell_part calls.
+    calls = {"w0": [], "holder_mean": [], "_cell_part": []}
 
     def traced(real, sizes):
-        # The last argument is the batch: z of w0, s of holder_mean(p, r, s).
+        # The last argument is the batch: z of w0, s of holder_mean(p, r, s); a mode of _cell_part.
         return lambda *args: sizes.append(np.size(args[-1])) or real(*args)
 
     for name, sizes in calls.items():
@@ -436,6 +455,7 @@ def test_selftest_shares_the_grid_scan_with_the_searches(monkeypatch):
     assert all(ok for ok, _ in verify._selftest_checks(10_000, 42, False))
     assert (len(calls["w0"]), sum(calls["w0"])) == (50, 716_124)
     assert (len(calls["holder_mean"]), sum(calls["holder_mean"])) == (142, 994_083)
+    assert len(calls["_cell_part"]) == 135
 
 
 @pytest.mark.parametrize(
@@ -581,17 +601,24 @@ def test_cell_part_extremes_equal_the_where_argmax(gap):
         assert got == ((verify._record(-0.5, -1.0, columns, i),) if mask[i] else ())
 
 
+@functools.cache
+def _default_raster():
+    # The default raster's cells, and the cells that fail a counts-only scan at 10k samples.
+    cells = build_raster(-3.0, 3.0, -3.0, 3.0, 0.05).cells
+    counts = _scan(tuple((p, q) for p, q, _ in cells), 10_000, 42, records=False)
+    failing = tuple(
+        (p, q)
+        for (p, q, cls), part in zip(cells, counts, strict=True)
+        if verify._verdict(cls, part.positive, part.negative) == "fail"
+    )
+    return cells, failing
+
+
 def test_every_default_raster_cell_is_graded_or_explained():
     # Counts-only at 10k samples: every convex and concave cell of the default
     # raster passes.  A failing "neither" cell has its turning radius r* past
     # the window's upper edge, or passes at 100k samples.
-    cells = build_raster(-3.0, 3.0, -3.0, 3.0, 0.05).cells
-    counts = _scan(tuple((p, q) for p, q, _ in cells), 10_000, 42, records=False)
-    failing = [
-        (p, q)
-        for (p, q, cls), part in zip(cells, counts, strict=True)
-        if verify._verdict(cls, part.positive, part.negative) == "fail"
-    ]
+    cells, failing = _default_raster()
     assert all(classify(p, q) is NEITHER for p, q in failing)
     beyond = [cell for cell in failing if _turning_radius(*cell) > SAMPLE_DOMAIN[1]]
     rescanned = [cell for cell in failing if cell not in beyond]
@@ -894,7 +921,7 @@ def test_one_polish_makes_eleven_compare_calls(monkeypatch):
 
 def test_batched_search_mixes_found_and_exhausted_cells():
     # At budget 10 and seed 42, (2, 3) and (0, 0.5) show only one sign.
-    results = _counterexamples(NEITHER_FIXTURES, 10, 42)
+    results = verify._witnesses(NEITHER_FIXTURES, _scan(NEITHER_FIXTURES, 10, 42, "extremes"), 10)
     for cell, result in zip(NEITHER_FIXTURES, results):
         if cell in ((2.0, 3.0), (0.0, 0.5)):
             assert isinstance(result, SearchExhaustedError)
@@ -1035,7 +1062,8 @@ def test_chain_links_are_strict_in_a_40_digit_oracle(mpmath40):
 
 def test_witness_gaps_have_the_40_digit_sign(mpmath40):
     mp = mpmath40
-    for (p, q), pair in zip(NEITHER_FIXTURES, _counterexamples(NEITHER_FIXTURES, 10_000, 42)):
+    pairs = verify._witnesses(NEITHER_FIXTURES, _scan(NEITHER_FIXTURES, 10_000, 42, "extremes"), 10_000)
+    for (p, q), pair in zip(NEITHER_FIXTURES, pairs):
         for rec, sign in ((pair.violates_convexity, 1), (pair.violates_concavity, -1)):
             assert sign * rec.gap > 0.0
             assert sign * _mp_gap(mp, p, q, mp.mpf(rec.x), mp.mpf(rec.y)) > 0, (p, q, rec)
@@ -1069,17 +1097,49 @@ def _iv_mean(iv, p, r, s):
 
 
 def test_witness_gaps_are_certified_in_interval_arithmetic(iv80):
-    # The pinned `counterexample` outputs (budget 100k, seed 42).  W is
-    # increasing, so W(H_p(x, y)) lies between the enclosures' outer ends
-    # at H_p's two ends; every gap interval must exclude 0 on its sign.
-    iv = iv80
-    for (p, q), pair in zip(NEITHER_FIXTURES, _counterexamples(NEITHER_FIXTURES, 100_000, 42)):
+    # The pinned `counterexample` outputs (budget 100k, seed 42).
+    pairs = verify._witnesses(NEITHER_FIXTURES, _scan(NEITHER_FIXTURES, 100_000, 42, "extremes"), 100_000)
+    for (p, q), pair in zip(NEITHER_FIXTURES, pairs):
         for rec, sign in ((pair.violates_convexity, 1), (pair.violates_concavity, -1)):
-            x, y = iv.mpf(rec.x), iv.mpf(rec.y)
-            h = _iv_mean(iv, p, x, y)
-            lhs = iv.mpf([_w_enclosure(iv, h.a)[0], _w_enclosure(iv, h.b)[1]])
-            rhs = _iv_mean(iv, q, iv.mpf(list(_w_enclosure(iv, x))), iv.mpf(list(_w_enclosure(iv, y))))
-            assert (sign * (lhs - rhs) > 0) is True, (p, q, rec)
+            assert _certified(iv80, p, q, rec, sign), (p, q, rec)
+
+
+def _certified(iv, p, q, rec, sign):
+    # Whether sign * gap > 0 at the record's (x, y) holds in interval arithmetic.
+    # W is increasing, so W(H_p(x, y)) lies between the enclosures' outer ends
+    # at H_p's two ends; the gap interval must exclude 0 on its sign.
+    x, y = iv.mpf(rec.x), iv.mpf(rec.y)
+    h = _iv_mean(iv, p, x, y)
+    lhs = iv.mpf([_w_enclosure(iv, h.a)[0], _w_enclosure(iv, h.b)[1]])
+    rhs = _iv_mean(iv, q, iv.mpf(list(_w_enclosure(iv, x))), iv.mpf(list(_w_enclosure(iv, y))))
+    return (sign * (lhs - rhs) > 0) is True
+
+
+def test_default_raster_witnesses_are_certified_in_interval_arithmetic(iv80):
+    # The default raster's "neither" cells on every fifth row and column (the
+    # 0.25 lattice) and those next to a cell of another class along p or q:
+    # every top and bottom of their "extremes" scan at 10k samples is certified.
+    # The cells with one sign only are the counts-only scan's failing cells.
+    cells, failing = _default_raster()
+    neither = np.array([cls is NEITHER for *_, cls in cells]).reshape(121, 121)
+    edge = np.zeros_like(neither)
+    along_p, along_q = neither[1:] != neither[:-1], neither[:, 1:] != neither[:, :-1]
+    edge[1:] |= along_p
+    edge[:-1] |= along_p
+    edge[:, 1:] |= along_q
+    edge[:, :-1] |= along_q
+    lattice = np.zeros_like(neither)
+    lattice[::5, ::5] = True
+    chosen = tuple(cells[k][:2] for k in np.flatnonzero(neither & (edge | lattice)))
+    one_sign, certified = [], 0
+    for (p, q), part in zip(chosen, _scan(chosen, 10_000, 42, "extremes")):
+        if not (part.top and part.bottom):
+            one_sign.append((p, q))
+        for records, sign in ((part.top, 1), (part.bottom, -1)):
+            assert all(_certified(iv80, p, q, rec, sign) for rec in records), (p, q, records)
+            certified += len(records)
+    assert one_sign == list(failing)
+    assert (len(chosen), certified) == (378, 722)
 
 
 # ---------------------------------------------------------------- lemma checks
