@@ -1,7 +1,8 @@
 """Region raster over a (p, q) window: CSV data contract plus an SVG map.
 
-The CSV is the machine-readable artifact, the SVG a fixed 800x800 visual;
-both writers format each distinct p and q once, not once per cell.
+The CSV is the machine-readable artifact, the SVG a fixed 800x800 visual.
+A raster keeps each p-column as class runs over the q axis; both writers
+format each p and q once and emit each run as one string join.
 """
 
 import math
@@ -19,14 +20,14 @@ COLOR_NEITHER = "#e2e8f0"
 COLOR_CURVE = "#111111"
 
 # Keyed by label in legend order: a member's _value_ is a plain attribute,
-# while hashing the member or reading .value runs Python code once per cell.
+# while hashing the member or reading .value runs Python code on each lookup.
 _FILL = {
     ConvexityClass.STRICTLY_CONVEX.value: COLOR_CONVEX,
     ConvexityClass.STRICTLY_CONCAVE.value: COLOR_CONCAVE,
     ConvexityClass.NEITHER.value: COLOR_NEITHER,
 }
 
-# 2,000 x 2,000: building and writing take about 360 MB per million cells.
+# 2,000 x 2,000: building and writing peak near 210 MiB per million cells.
 _MAX_CELLS = 4_000_000
 
 _SIZE = 800
@@ -35,14 +36,26 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 24, 24, 60
 
 @dataclass(frozen=True)
 class RegionRaster:
-    """Classification of every lattice point of a closed (p, q) window."""
+    """Classification of every lattice point of a closed (p, q) window.
+
+    ``columns[i]`` is p = ``ps[i]``'s class runs ``(cls, start, stop)`` over
+    ``qs``, in q order; ``cells`` expands them into ``(p, q, cls)`` triples.
+    """
 
     p_min: float
     p_max: float
     q_min: float
     q_max: float
     step: float
-    cells: tuple
+    ps: tuple
+    qs: tuple
+    columns: tuple
+
+    @property
+    def cells(self):
+        return tuple(
+            (p, q, cls) for p, runs in zip(self.ps, self.columns) for cls, a, b in runs for q in self.qs[a:b]
+        )
 
 
 def _axis_size(lo, hi, step):
@@ -61,13 +74,13 @@ def _axis(lo, hi, step):
 def _column(p, qs):
     # One p-column, one class run at a time: classify the run's first q, then
     # bisect the rest of the axis for the first q of another class.
-    cells, start = [], 0
+    runs, start = [], 0
     while start < len(qs):
         cls = classify(p, qs[start])
         end = bisect_left(qs, True, start + 1, key=lambda q: classify(p, q) is not cls)
-        cells += [(p, q, cls) for q in qs[start:end]]
+        runs.append((cls, start, end))
         start = end
-    return cells
+    return tuple(runs)
 
 
 def build_raster(p_min, p_max, q_min, q_max, step):
@@ -95,9 +108,9 @@ def build_raster(p_min, p_max, q_min, q_max, step):
     n_cells = _axis_size(p_min, p_max, step) * _axis_size(q_min, q_max, step)
     if n_cells > _MAX_CELLS:
         raise ValueError(f"raster of {n_cells:,} cells exceeds the limit of {_MAX_CELLS:,}")
-    qs = _axis(q_min, q_max, step)
-    cells = tuple(cell for p in _axis(p_min, p_max, step) for cell in _column(p, qs))
-    return RegionRaster(p_min=p_min, p_max=p_max, q_min=q_min, q_max=q_max, step=step, cells=cells)
+    ps, qs = tuple(_axis(p_min, p_max, step)), tuple(_axis(q_min, q_max, step))
+    columns = tuple(_column(p, qs) for p in ps)
+    return RegionRaster(p_min, p_max, q_min, q_max, step, ps, qs, columns)
 
 
 def write_csv(raster, path):
@@ -105,14 +118,14 @@ def write_csv(raster, path):
 
     The header ``p,q,class``, then one row per cell in cell order: p and q
     as their shortest round-trip repr (a zero keeps its sign) and the class
-    label.  The text ends with a newline.
+    label.  The text ends with a newline.  A run's rows are one join.
     """
-    # 0.0 == -0.0 as dict keys, so a zero takes its own repr, never a cached one.
-    text = {v: repr(v) for v in {c[0] for c in raster.cells} | {c[1] for c in raster.cells}}
-    lines = ["p,q,class"] + [
-        f"{text[p] if p else repr(p)},{text[q] if q else repr(q)},{cls._value_}"
-        for p, q, cls in raster.cells
-    ]
+    qs = [repr(q) for q in raster.qs]
+    tails = {label: [f"{q},{label}" for q in qs] for label in _FILL}
+    lines = ["p,q,class"]
+    for p, runs in zip(raster.ps, raster.columns):
+        head = repr(p) + ","
+        lines += [head + ("\n" + head).join(tails[cls._value_][a:b]) for cls, a, b in runs]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -125,7 +138,8 @@ def write_svg(raster, path):
     q = 1 - 2*sqrt(-p) over the part of -1 < p < 0 in the plot (when at
     least two of its 257 points lie in it), the frame, integer ticks, the
     axis labels and the legend.  The bytes depend only on the window, the
-    step and the cells; the text ends with a newline.
+    step and the cells; the text ends with a newline.  Each run of a
+    column is one join of its rects.
     """
     half = raster.step / 2.0
     x_lo, x_hi = raster.p_min - half, raster.p_max + half
@@ -145,18 +159,14 @@ def write_svg(raster, path):
         f'<rect x="0" y="0" width="{_SIZE}" height="{_SIZE}" fill="#ffffff"/>',
     ]
     # x and width depend on p alone, y and height on q alone: format each once.
-    # The two zeros give equal sx and sy, so here they may share a key.
-    ps = {cell[0] for cell in raster.cells}
-    qs = {cell[1] for cell in raster.cells}
-    xs = {p: f"{sx(p - half):.2f}" for p in ps}
-    ws = {p: f"{sx(p + half) - sx(p - half):.2f}" for p in ps}
-    ys = {q: f"{sy(q + half):.2f}" for q in qs}
-    hs = {q: f"{sy(q - half) - sy(q + half):.2f}" for q in qs}
-    out += [
-        f'<rect x="{xs[p]}" y="{ys[q]}" width="{ws[p]}" height="{hs[q]}" '
-        f'fill="{_FILL[cls._value_]}"/>'
-        for p, q, cls in raster.cells
-    ]
+    ys = [f"{sy(q + half):.2f}" for q in raster.qs]
+    hs = [f"{sy(q - half) - sy(q + half):.2f}" for q in raster.qs]
+    for p, runs in zip(raster.ps, raster.columns):
+        x0, x1 = sx(p - half), sx(p + half)
+        pre, mid = f'<rect x="{x0:.2f}" y="', f'" width="{x1 - x0:.2f}" height="'
+        for cls, a, b in runs:
+            post = f'" fill="{_FILL[cls._value_]}"/>'
+            out.append(pre + (post + "\n" + pre).join(map(mid.join, zip(ys[a:b], hs[a:b]))) + post)
     curve_lo = max(x_lo, -1.0)
     curve_hi = min(x_hi, 0.0)
     if curve_lo < curve_hi:

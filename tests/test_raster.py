@@ -1,11 +1,12 @@
 """Raster tests: pinned digests, a per-cell classifier and a per-cell formatter.
 
 `build_raster` classifies each p-column one class run at a time, bisecting
-for each run's end; the per-cell reference below calls `classify` at every
-lattice point, so any window where the two differ in one cell fails here.
-`write_csv` and `write_svg` format each distinct p and q once.  The reference
-below formats every cell on its own, with the two f-strings the writers used
-before that, so any window where the two differ by one byte fails here.
+for each run's end, and keeps the runs as q-ranges; the per-cell reference
+below calls `classify` at every lattice point, so any window where the two
+differ in one cell fails here.  `write_csv` and `write_svg` format each p and
+q once and emit each run as one string join.  The reference below formats
+every cell of `RegionRaster.cells` on its own, one f-string per row or rect,
+so any window where the two differ by one byte fails here.
 """
 
 import dataclasses
@@ -66,7 +67,7 @@ def reference_svg(r, tmp_path):
     # Everything but the cell rects depends on the window and step alone; the
     # rects follow the background rect (the second line).
     frame = tmp_path / "frame.svg"
-    raster.write_svg(dataclasses.replace(r, cells=()), frame)
+    raster.write_svg(dataclasses.replace(r, ps=(), qs=(), columns=()), frame)
     lines = frame.read_bytes().decode().split("\n")
     return "\n".join(lines[:2] + reference_rects(r) + lines[2:]).encode()
 
@@ -85,6 +86,15 @@ def test_default_outputs_are_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == DEFAULT_DIGESTS["csv"]
     assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == DEFAULT_DIGESTS["svg"]
+
+
+def test_the_command_never_expands_the_cells(monkeypatch, tmp_path, capsys):
+    # Building and both writers work on the runs alone.
+    def refuse(r):
+        raise AssertionError("RegionRaster.cells expanded")
+
+    monkeypatch.setattr(raster.RegionRaster, "cells", property(refuse))
+    test_default_outputs_are_pinned(tmp_path, capsys)
 
 
 # The default window shifted by whole steps, as perfbench rotates it.
@@ -115,10 +125,13 @@ def test_signed_zero_window_keeps_both_zeros(tmp_path, capsys):
 
 
 def test_zeros_of_both_signs_within_one_axis(tmp_path):
+    # Axes that are not lattices, so each cell is a run of its own.
     ps = (0.0, -0.5, -0.0, 0.5, -0.0)
     qs = (-0.0, 1.0, 0.0)
-    cells = tuple((p, q, classify(p, q)) for p in ps for q in qs)
-    r = raster.RegionRaster(p_min=-0.5, p_max=0.5, q_min=-0.0, q_max=1.0, step=0.5, cells=cells)
+    columns = tuple(tuple((classify(p, q), i, i + 1) for i, q in enumerate(qs)) for p in ps)
+    r = raster.RegionRaster(
+        p_min=-0.5, p_max=0.5, q_min=-0.0, q_max=1.0, step=0.5, ps=ps, qs=qs, columns=columns
+    )
     assert_matches_reference(r, tmp_path)
     points = [row.rsplit(",", 1)[0] for row in (tmp_path / "map.csv").read_text().splitlines()]
     assert points[1:4] == ["0.0,-0.0", "0.0,1.0", "0.0,0.0"]
@@ -166,6 +179,28 @@ def test_build_raster_equals_per_cell_classify_on_drawn_windows(step, p_min, p_c
     assert_classified_per_cell((p_min, p_min + p_cells * step, q_min, q_min + q_cells * step), step)
 
 
+@settings(deadline=None, max_examples=200)
+@given(_STEPS, _EDGES, st.floats(0.0, 30.0), _EDGES, st.floats(0.0, 60.0))
+def test_each_column_is_at_most_three_runs_that_tile_the_q_axis(step, p_min, p_cells, q_min, q_cells):
+    # The main theorem: along q a column changes class at most twice and
+    # never returns to a class it left.
+    r = raster.build_raster(p_min, p_min + p_cells * step, q_min, q_min + q_cells * step, step)
+    assert len(r.columns) == len(r.ps)
+    for runs in r.columns:
+        classes = [cls for cls, _, _ in runs]
+        bounds = [0] + [stop for _, _, stop in runs]
+        assert [(start, stop) for _, start, stop in runs] == list(zip(bounds, bounds[1:]))
+        assert bounds[-1] == len(r.qs) and all(a < b for a, b in zip(bounds, bounds[1:]))
+        assert len(runs) <= 3 and len(set(classes)) == len(classes)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_STEPS, _EDGES, st.floats(0.0, 30.0), _EDGES, st.floats(0.0, 60.0))
+def test_outputs_match_the_per_cell_reference_on_drawn_windows(tmp_path_factory, step, p_min, p_cells, q_min, q_cells):
+    r = raster.build_raster(p_min, p_min + p_cells * step, q_min, q_min + q_cells * step, step)
+    assert_matches_reference(r, tmp_path_factory.mktemp("drawn"))
+
+
 # Window edges at the curve's ends -1 and 0, their neighbouring doubles and subnormals, or anywhere.
 _CURVE_EDGES = st.one_of(
     st.sampled_from([-1.0, math.nextafter(-1.0, 0.0), math.nextafter(-1.0, -2.0), -0.0, 0.0, -5e-324, 5e-324]),
@@ -183,7 +218,7 @@ def test_the_curve_is_drawn_for_every_window_that_meets_its_p_range(tmp_path_fac
     half = step / 2.0
     assume(max(p_min - half, -1.0) < min(p_max + half, 0.0))
     path = tmp_path_factory.getbasetemp() / "curve.svg"
-    raster.write_svg(raster.RegionRaster(p_min, p_max, -1.0, 1.0, step, ()), path)
+    raster.write_svg(raster.RegionRaster(p_min, p_max, -1.0, 1.0, step, (), (), ()), path)
     (curve,) = [line for line in path.read_text().splitlines() if line.startswith("<polyline ")]
     assert curve.count(",") == 257
 

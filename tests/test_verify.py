@@ -246,6 +246,16 @@ def test_verify_region_concave_example():
         assert rep.n_gap_negative == 0
 
 
+def test_verify_region_small_order_concave_cell():
+    # At orders this small the direct power form of holder_mean rounds to
+    # about 1e-11 relative, past the tie threshold: it gives one sample the
+    # gap -1.61e-10 where the exact gap is +2.03e-10.
+    rep = verify_region(HpqParams(2e-5, 2e-5), 100_000, 42)
+    assert rep.expected is CONCAVE
+    assert rep.n_gap_negative == 0
+    assert rep.verdict == "pass"
+
+
 def test_verify_region_neither_example():
     rep = verify_region(HpqParams(0.0, 0.5), 100_000, 7)
     assert rep.verdict == "pass"
