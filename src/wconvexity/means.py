@@ -2,9 +2,9 @@
 
 holder_mean(p, r, s) = ((r**p + s**p) / 2) ** (1/p) for p != 0 and
 sqrt(r*s) at p = 0.  Small nonzero orders go through an exact cosh form
-around the geometric mean, extreme exponents through log space with the
-dominant argument factored out, so the mean stays finite and accurate over
-the whole double range.
+around the geometric mean where |p ln(r/s)| < 2, extreme exponents
+through log space with the dominant argument factored out, so the mean
+stays finite and accurate over the whole double range.
 """
 
 import numpy as np
@@ -44,8 +44,12 @@ def holder_mean(p, r, s):
             normal = (prod >= _TINY) & np.isfinite(prod)
             out = np.where(normal, np.sqrt(prod), np.sqrt(rr) * np.sqrt(ss))
             if p:
-                d = np.log(rr) - np.log(ss)
+                # d = ln(r/s) rounds r/s once where that stays normal.  The mean then carries
+                # eps * |d| / 2 and the direct form eps / |p|, which it takes past |p * d| = 2.
+                ratio = rr / ss
+                d = np.where((ratio >= _TINY) & np.isfinite(ratio), np.log(ratio), np.log(rr) - np.log(ss))
                 out = out * np.exp(np.log1p(2.0 * np.sinh(p * d / 4.0) ** 2) / p)
+                out = np.where(abs(p * d) < 2.0, out, ((rr**p + ss**p) / 2.0) ** (1.0 / p))
         else:
             out = ((rr**p + ss**p) / 2.0) ** (1.0 / p)
             # ln is monotone, so the larger of |p ln r|, |p ln s| is |p| * max(-ln lo, ln hi).

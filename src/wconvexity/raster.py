@@ -167,16 +167,10 @@ def write_svg(raster, path):
         for cls, a, b in runs:
             post = f'" fill="{_FILL[cls._value_]}"/>'
             out.append(pre + (post + "\n" + pre).join(map(mid.join, zip(ys[a:b], hs[a:b]))) + post)
-    curve_lo = max(x_lo, -1.0)
-    curve_hi = min(x_hi, 0.0)
+    curve_lo, curve_hi = max(x_lo, -1.0), min(x_hi, 0.0)
     if curve_lo < curve_hi:
-        pts = []
-        n = 256
-        for i in range(n + 1):
-            p = curve_lo + (curve_hi - curve_lo) * i / n
-            q = c_of_p(p)
-            if y_lo <= q <= y_hi:
-                pts.append(f"{sx(p):.2f},{sy(q):.2f}")
+        curve_ps = [curve_lo + (curve_hi - curve_lo) * i / 256 for i in range(257)]
+        pts = [f"{sx(p):.2f},{sy(q):.2f}" for p, q in zip(curve_ps, map(c_of_p, curve_ps)) if y_lo <= q <= y_hi]
         if len(pts) >= 2:
             out.append(
                 f'<polyline points="{" ".join(pts)}" fill="none" '

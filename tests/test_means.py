@@ -63,13 +63,11 @@ _OTHER_ORDERS = (0.5, -0.25, 2.0, -3.0, 300.0, -300.0, 1e300, -1e300)
 @pytest.mark.parametrize("p", _SMALL_ORDERS + _BAND_ORDERS + _OTHER_ORDERS)
 def test_holder_mean_matches_mpmath(p):
     # Reference from the definition, with 40 digits beyond the ones 1/p
-    # cancels.  Bounds: below |p| = 0.03 (README's cutoff; the direct power
-    # form fails these bounds there) the mean is G * exp(E) with
-    # E = ln(H/G), so rounding in E grows by (1 + |E|): 4 ulp times that.
-    # E is a function of d = ln r - ln s with slope tanh(p*d/2)/2, which
-    # carries the rounding of the two logs, eps * max(|ln r|, |ln s|), into E.
-    # Otherwise r**p or the log-space sum loses up to 2 eps * (2 + |ln H|),
-    # and the power 1/p amplifies the rounding of the sum by 1/|p|.
+    # cancels.  Bounds: below |p| = 0.03, where |p ln(r/s)| < 2, the mean is
+    # G * exp(E) with E = ln(H/G), so rounding in E grows by (1 + |E|): 4 ulp
+    # times that.  Otherwise r**p or the log-space sum loses up to
+    # 2 eps * (2 + |ln H|), and for the band orders the power 1/p amplifies
+    # the rounding of the sum by 1/|p| as well.
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(7)
     eps = np.finfo(np.float64).eps
@@ -84,14 +82,30 @@ def test_holder_mean_matches_mpmath(p):
                 ref = ((mpmath.exp(mp * ln_a) + mpmath.exp(mp * ln_b)) / 2) ** (1 / mp)
                 rel = float(abs(mpmath.mpf(v) / ref - 1))
                 ln_h = float(mpmath.log(ref))
-                if abs(p) < 0.03:
+                if abs(p) < 0.03 and abs(p * float(ln_a - ln_b)) < 2:
                     ulp = np.spacing(float(ref)) / float(ref)
-                    slope = min(1.0, abs(p * float(ln_a - ln_b)) / 2)
-                    logs = eps * slope * float(max(abs(ln_a), abs(ln_b)))
-                    bound = 4 * ulp * (1 + abs(ln_h - float(ln_a + ln_b) / 2)) + logs
+                    bound = 4 * ulp * (1 + abs(ln_h - float(ln_a + ln_b) / 2))
                 else:
-                    bound = 2 * eps * (2 + abs(ln_h) + 1 / abs(p))
+                    bound = 2 * eps * (2 + abs(ln_h) + (1 / abs(p) if p in _BAND_ORDERS else 0))
                 assert rel <= bound, (p, a, b)
+
+
+@pytest.mark.parametrize("p", (3e-3, -3e-3, 1e-2, -1e-2, 0.0299, -0.0299))
+def test_small_orders_are_as_accurate_as_the_direct_form_over_the_double_range(p):
+    # The cosh form carries the rounding of ln(r/s), about eps * |ln(r/s)| / 2;
+    # the direct form eps / |p|.  Pairs past |p ln(r/s)| = 2 take the direct
+    # form, so no order below _SMALL_P does worse than it on wide arguments.
+    mpmath = pytest.importorskip("mpmath")
+    r, s = 10.0 ** np.random.default_rng(11).uniform(-300.0, 300.0, (2, 200))
+    direct = ((r**p + s**p) / 2.0) ** (1.0 / p)
+    with mpmath.workdps(40):
+        mp = mpmath.mpf(p)
+        refs = [((mpmath.exp(mp * mpmath.log(a)) + mpmath.exp(mp * mpmath.log(b))) / 2) ** (1 / mp) for a, b in zip(r, s)]
+
+        def worst(values):
+            return max(abs(mpmath.mpf(v) / ref - 1) for v, ref in zip(values, refs))
+
+        assert worst(holder_mean(p, r, s)) <= worst(direct)
 
 
 @pytest.mark.parametrize("p", (2.0, 3.0, -3.0, 30.0, 300.0, -300.0, 1e300, -1e300))
