@@ -637,6 +637,29 @@ def test_every_default_raster_cell_is_graded_or_explained():
     assert (len(cells), len(failing), len(beyond)) == (14_641, 34, 32)
 
 
+# Orders in the band where holder_mean's direct form amplified rounding by 1/|p|.
+_SMALL_ORDERS_AXIS = sorted(s * m for m in (1e-5, 2e-5, 1e-4, 1e-3, 1e-2) for s in (1.0, -1.0))
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_every_small_order_cell_is_graded_or_explained(seed):
+    # Counts-only at 100k samples: every convex and concave cell passes (with
+    # _SMALL_P at 1e-5, 4 failed at seed 42 and 12 at seed 7, each on one
+    # wrong-sign gap).  A failing "neither" cell has p < 0, q < 0, one sign
+    # only, and its turning radius r* past the window's upper edge.
+    cells = tuple((p, q) for p in _SMALL_ORDERS_AXIS for q in _SMALL_ORDERS_AXIS)
+    graded = [(cell, classify(*cell), part) for cell, part in zip(cells, _scan(cells, 100_000, seed, False))]
+    failing = [
+        (cell, cls, part) for cell, cls, part in graded if verify._verdict(cls, part.positive, part.negative) == "fail"
+    ]
+    assert sum(cls is not NEITHER for _, cls, _ in graded) == 40
+    assert all(cls is NEITHER for _, cls, _ in failing)
+    for (p, q), _, part in failing:
+        assert p < 0.0 and q < 0.0 and part.negative == 0, (p, q)
+        assert _turning_radius(p, q) > SAMPLE_DOMAIN[1], (p, q)
+    assert len(failing) == 15
+
+
 def test_merge_keeps_the_earlier_record_among_equal_gaps():
     # Parts carry no sample index: a tie in |gap| goes to the part merged
     # first, which is the lower sample index when parts merge in order.
