@@ -35,6 +35,10 @@ _BUFFER = 1 << 16  # bytes per write call: by default, column-sized writes go ou
 
 _SIZE = 800
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 24, 24, 60
+# An axis gets integer tick labels only while it spans at most this many
+# integers: 706 px hold 20 labels, and one label per integer of a [0, 1e6]
+# window would be 2.2M elements.
+_MAX_TICKS = 20
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,12 @@ def _axis(lo, hi, step):
     return values
 
 
+def _ticks(lo, hi):
+    # The integers in [lo, hi], or none when there are more than _MAX_TICKS.
+    first, last = math.ceil(lo), math.floor(hi)
+    return range(first, last + 1) if last - first < _MAX_TICKS else ()
+
+
 def _column(p, qs):
     # One p-column, one class run at a time: classify the run's first q, then
     # bisect the rest of the axis for the first q of another class.
@@ -106,7 +116,9 @@ def build_raster(p_min, p_max, q_min, q_max, step):
         raise ValueError("raster window must satisfy p_min <= p_max and q_min <= q_max")
     if step <= 0.0:
         raise ValueError("step must be > 0")
-    if p_max - p_min == math.inf or q_max - q_min == math.inf:
+    # The SVG spans each axis padded by half a step; that extent must be a double.
+    half = step / 2.0
+    if (p_max + half) - (p_min - half) == math.inf or (q_max + half) - (q_min - half) == math.inf:
         raise ValueError("raster window width passes the double range")
     n_cells = _axis_size(p_min, p_max, step) * _axis_size(q_min, q_max, step)
     if n_cells > _MAX_CELLS:
@@ -139,11 +151,12 @@ def write_svg(raster, path):
     A white background, then one rect per cell in cell order, its position
     and size to two decimals and its fill the class colour; then the curve
     q = 1 - 2*sqrt(-p) over the part of -1 < p < 0 in the plot (when at
-    least two of its 257 points lie in it), the frame, integer ticks, the
-    axis labels and the legend.  The bytes depend only on the window, the
-    step and the cells; the text ends with a newline.  Each run of a
-    column is one join of its rects' middles (y to height), built once per
-    distinct width, and each p-column is one write.
+    least two of its 257 points lie in it), the frame, integer ticks (on an
+    axis that spans at most _MAX_TICKS integers), the axis labels and the
+    legend.  The bytes depend only on the window, the step and the cells;
+    the text ends with a newline.  Each run of a column is one join of its
+    rects' middles (y to height), built once per distinct width, and each
+    p-column is one write.
     """
     half = raster.step / 2.0
     x_lo, x_hi = raster.p_min - half, raster.p_max + half
@@ -177,18 +190,18 @@ def write_svg(raster, path):
                 f'<polyline points="{" ".join(pts)}" fill="none" '
                 f'stroke="{COLOR_CURVE}" stroke-width="2"/>'
             )
-    # Frame and axis ticks at integers.
+    # Frame and axis ticks at integers, while they are few.
     out.append(
         f'<rect x="{sx(x_lo):.2f}" y="{sy(y_hi):.2f}" '
         f'width="{sx(x_hi) - sx(x_lo):.2f}" height="{sy(y_lo) - sy(y_hi):.2f}" '
         f'fill="none" stroke="#333333" stroke-width="1"/>'
     )
-    for t in range(math.ceil(x_lo), math.floor(x_hi) + 1):
+    for t in _ticks(x_lo, x_hi):
         out.append(
             f'<text x="{sx(t):.2f}" y="{_SIZE - _MARGIN_B + 22}" font-size="14" '
             f'text-anchor="middle" fill="#333333">{t:g}</text>'
         )
-    for t in range(math.ceil(y_lo), math.floor(y_hi) + 1):
+    for t in _ticks(y_lo, y_hi):
         out.append(
             f'<text x="{_MARGIN_L - 10}" y="{sy(t) + 5:.2f}" font-size="14" '
             f'text-anchor="end" fill="#333333">{t:g}</text>'

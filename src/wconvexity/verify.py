@@ -474,77 +474,71 @@ class CounterexamplePair:
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Golden-section steps that one _compare call serves (it divides the 20 steps
-# per coordinate): the call takes the probes of the next _LOOKAHEAD steps for
-# every outcome of their comparisons, 2**_LOOKAHEAD - 1 points per direction,
-# so a polish makes 11 calls (46 at one step per call).  A polish of (-0.5, -1)
-# / of the four NEITHER_FIXTURES took 9.5/15.9 ms at depth 2, 6.1/10.8 at 4,
-# 6.0/10.1 at 5 and 10.2/28.6 at 10 (1,023 points per direction), each the mean
-# of two medians of 40 calls interleaved in one process on a shared 2-CPU VM.
+# Golden-section steps per _compare call, a divisor of the 20 per coordinate: the call
+# takes the probes of the next _LOOKAHEAD steps for both outcomes of each comparison,
+# 31 per direction, so a polish makes 10 calls (45 at one step per call).  On the NumPy
+# tree before _step (BENCH_17.json), a polish of (-0.5, -1) / the four NEITHER_FIXTURES
+# took 9.5/15.9 ms at depth 2, 6.1/10.8 at 4, 6.0/10.1 at 5, 10.2/28.6 at 10 (2 CPUs).
 _LOOKAHEAD = 5
-_FORK = np.array([True, False])
+
+
+def _step(a, b, c, d, left):
+    # One golden-section step on [a, b] with probes c < d: keep [a, d] when
+    # f(c) >= f(d) (left), else [c, b].  The new probe is c if left, else d.
+    if left:
+        return a, d, d - _INV_PHI * (d - a), c
+    return c, b, d, c + _INV_PHI * (b - c)
 
 
 def _refine(cells, origins):
     """Golden-section polish of every cell's scan extremes, all in lockstep.
 
     origins holds each cell's (top, bottom) records in turn; direction i
-    maximises signs[i] * gap, one coordinate at a time.  One _compare call
-    over all cells takes, per direction, every probe that the next
-    _LOOKAHEAD steps can reach, built by the np.where float operations of
-    one step; the steps then replay on those values, each taking its
-    branch from its own fc >= fd.  So each direction equals its own scalar
-    search bit for bit.  A direction keeps its origin when the polish ends
-    below the scan's |gap|.
+    maximises signs[i] * gap, one coordinate at a time.  Each _compare call
+    fills every direction's table probe -> (signs[i] * gap, columns, row) for
+    its next _LOOKAHEAD steps, which then run on Python floats: each direction
+    equals its own scalar search bit for bit, and its final point takes its
+    record from the table.  It keeps its origin if the polish ends below |gap|.
     """
-    signs = np.tile([1.0, -1.0], len(cells))
-    rows = np.arange(signs.size)
+    signs = [1.0, -1.0] * len(cells)
     ln_lo, ln_hi = (math.log(v) for v in SAMPLE_DOMAIN)
     half_span = 0.5 * math.log(10.0)
-    # Row 0 holds ln x and row 1 ln y, one column per direction.
-    point = np.array([[math.log(o.x) for o in origins], [math.log(o.y) for o in origins]])
+    points = [[math.log(o.x), math.log(o.y)] for o in origins]
 
-    def columns(logs):
-        # math.exp per element: np.exp can differ from it in the last bit.
-        # Cell i owns directions 2i and 2i + 1, row i of _compare's split.
-        return _compare(cells, *(np.array([math.exp(v) for v in row.ravel()]) for row in logs))
+    def evaluate(coord, probes):
+        # Lists of one length along coord; math.exp, as np.exp can differ in the last bit.
+        logs = [[t if k == coord else pt[k] for pt, ts in zip(points, probes) for t in ts] for k in (0, 1)]
+        cols = _compare(cells, *(np.array([math.exp(v) for v in row]) for row in logs))
+        gaps, n = cols[4].tolist(), len(probes[0])
+        for i, ts in enumerate(probes):
+            tables[i].update((t, (signs[i] * gaps[j], cols, j)) for j, t in enumerate(ts, i * n))
 
-    def fun(coord, t):
-        # signs * gap with coordinate coord at each column of t, per direction.
-        moved = np.repeat(point[:, :, None], t.shape[1], axis=2)
-        moved[coord] = t
-        return signs[:, None] * columns(moved)[4].reshape(t.shape)
+    def left(table, bracket):
+        return table[bracket[2]][0] >= table[bracket[3]][0]
 
     for coord in (0, 1):
-        a = np.maximum(ln_lo, point[coord] - half_span)
-        b = np.minimum(ln_hi, point[coord] + half_span)
-        c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-        best, fc, fd = fun(coord, np.stack([point[coord], c, d], axis=1)).T
+        tables = [{} for _ in points]
+        spans = [(max(ln_lo, pt[coord] - half_span), min(ln_hi, pt[coord] + half_span)) for pt in points]
+        brackets = [(a, b, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)) for a, b in spans]
+        evaluate(coord, [[pt[coord], c, d] for pt, (_, _, c, d) in zip(points, brackets)])
         for _ in range(20 // _LOOKAHEAD):
-            # The brackets the next steps can reach, level by level: node j
-            # of a level has children 2j (fc >= fd) and 2j + 1 in the next.
-            left, probes = (fc >= fd)[:, None, None], []
-            for _ in range(_LOOKAHEAD):
-                a, b, c, d = (v.reshape(rows.size, -1, 1) for v in (a, b, c, d))
-                a, b = np.where(left, a, c), np.where(left, d, b)
-                probe = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-                c, d = np.where(left, probe, d), np.where(left, c, probe)
-                probes.append(probe.reshape(rows.size, -1))
-                left = _FORK
-            values = fun(coord, np.concatenate(probes, axis=1))
-            node, start = np.zeros(rows.size, dtype=np.intp), 0
-            for k in range(_LOOKAHEAD):
-                left = fc >= fd
-                node = np.where(left, 2 * node, 2 * node + 1) if k else node
-                f = values[rows, start + node]
-                fc, fd = np.where(left, f, fd), np.where(left, fc, f)
-                start += 1 << k
-            a, b, c, d = (v.reshape(rows.size, -1)[rows, node] for v in (a, b, c, d))
-        left = fc >= fd
-        t, val = np.where(left, c, d), np.where(left, fc, fd)
-        point[coord] = np.where(val > best, t, point[coord])
-    cols = columns(point)
-    recs = (_record(*cells[i // 2], cols, i) for i in range(signs.size))
+            reach = []
+            for table, bracket in zip(tables, brackets):
+                nodes, probes = [(bracket, left(table, bracket))], []
+                for _ in range(_LOOKAHEAD):
+                    steps = [_step(*s, branch) for s, branch in nodes]
+                    probes += [s[2] if branch else s[3] for s, (_, branch) in zip(steps, nodes)]
+                    nodes = [(s, branch) for s in steps for branch in (True, False)]
+                reach.append(probes)
+            evaluate(coord, reach)
+            for i, table in enumerate(tables):
+                for _ in range(_LOOKAHEAD):
+                    brackets[i] = _step(*brackets[i], left(table, brackets[i]))
+        for point, table, bracket in zip(points, tables, brackets):
+            t = bracket[2] if left(table, bracket) else bracket[3]
+            if table[t][0] > table[point[coord]][0]:
+                point[coord] = t
+    recs = (_record(*cells[i // 2], *tables[i][point[1]][1:]) for i, point in enumerate(points))
     return tuple(o if s * r.gap < abs(o.gap) else r for o, s, r in zip(origins, signs, recs))
 
 

@@ -149,13 +149,18 @@ def test_raster_past_the_cell_cap_writes_nothing(capsys, tmp_path):
 _WIDE = (str(-(10**308)), "1e308")
 
 
-@pytest.mark.parametrize("window", [[*_WIDE, "0", "0"], ["0", "0", *_WIDE]], ids=["p", "q"])
-def test_raster_wider_than_the_doubles_is_refused(capsys, tmp_path, window):
-    out = tmp_path / "map.csv"
-    code, _, err = invoke(capsys, ["raster", "--window", *window, "--step", "1e308", "--out", str(out)])
+@pytest.mark.parametrize(
+    "window, step",
+    [([*_WIDE, "0", "0"], "1e308"), (["0", "0", *_WIDE], "1e308"), (["1.7e308", "1.7e308", "0", "0"], "1.7e308")],
+    ids=["p", "q", "p-padded"],
+)
+def test_raster_wider_than_the_doubles_is_refused(capsys, tmp_path, window, step):
+    # The last window has one lattice point, but the half-step padding of its plot overflows.
+    out, svg = tmp_path / "map.csv", tmp_path / "map.svg"
+    code, _, err = invoke(capsys, ["raster", "--window", *window, "--step", step, "--out", str(out), "--svg", str(svg)])
     assert code == 2
     assert "window width passes the double range" in err
-    assert not out.exists()
+    assert not out.exists() and not svg.exists()
 
 
 def test_raster_unwritable_path(capsys, tmp_path):

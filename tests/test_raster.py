@@ -263,11 +263,32 @@ def test_a_raster_past_the_cell_cap_is_refused_before_it_is_built(step):
         raster.build_raster(-3.0, 3.0, -3.0, 3.0, step)
 
 
-@pytest.mark.parametrize("window", [(-1e308, 1e308, 0.0, 0.0), (0.0, 0.0, -1e308, 1e308)], ids=["p", "q"])
-def test_a_window_wider_than_the_doubles_is_refused_for_its_width(window):
-    # Three lattice points along the wide axis, but hi - lo overflows to inf.
+# Three lattice points along the wide axis, but hi - lo overflows to inf; or
+# one point, but the half-step padding of the plot overflows.
+@pytest.mark.parametrize(
+    "window, step",
+    [
+        ((-1e308, 1e308, 0.0, 0.0), 1e308),
+        ((0.0, 0.0, -1e308, 1e308), 1e308),
+        ((1.7e308, 1.7e308, 0.0, 0.0), 1.7e308),
+        ((0.0, 0.0, 1.7e308, 1.7e308), 1.7e308),
+    ],
+    ids=["p", "q", "p-padded", "q-padded"],
+)
+def test_a_window_wider_than_the_doubles_is_refused_for_its_width(window, step):
     with pytest.raises(ValueError, match="^raster window width passes the double range$"):
-        raster.build_raster(*window, 1e308)
+        raster.build_raster(*window, step)
+
+
+@pytest.mark.parametrize(
+    "window, step", [((0.0, 1e6, 0.0, 1e6), 1e5), ((0.0, 1e300, 0.0, 1.0), 1e299)], ids=["1e6", "1e300"]
+)
+def test_tick_labels_are_bounded_on_a_wide_window(tmp_path, window, step):
+    # Two axis labels and three legend labels, plus at most _MAX_TICKS ticks
+    # per axis; one label per integer would be 2.2M <text> elements here.
+    path = tmp_path / "map.svg"
+    raster.write_svg(raster.build_raster(*window, step), path)
+    assert path.read_text().count("<text") <= 2 * raster._MAX_TICKS + 5
 
 
 def test_the_cell_cap_admits_a_raster_of_exactly_its_size(monkeypatch):

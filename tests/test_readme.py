@@ -48,7 +48,8 @@ def test_defaults_sentence_matches_the_parser():
 def test_quoted_constants_equal_the_code():
     # Each `NAME = literal` code span names a module constant and its value.
     quoted = dict(re.findall(r"`(_?[A-Z][A-Z0-9_]*) = ([^`]+)`", README))
-    assert {"SAMPLE_DOMAIN", "SIGNIFICANCE_REL", "_STEP_SIGNIFICANCE", "RESIDUAL_TOL", "_MAX_CELLS"} <= set(quoted)
+    named = {"SAMPLE_DOMAIN", "SIGNIFICANCE_REL", "_STEP_SIGNIFICANCE", "RESIDUAL_TOL", "_MAX_CELLS", "_MAX_TICKS"}
+    assert named <= set(quoted)
     modules = (verify, lambert, raster, means, theory)
     for name, literal in quoted.items():
         (value,) = {getattr(module, name) for module in modules if hasattr(module, name)}
