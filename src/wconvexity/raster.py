@@ -46,7 +46,7 @@ class RegionRaster:
     """Classification of every lattice point of a closed (p, q) window.
 
     ``columns[i]`` is p = ``ps[i]``'s class runs ``(cls, start, stop)`` over
-    ``qs``, in q order; ``cells`` expands them into ``(p, q, cls)`` triples.
+    ``qs``, in q order.
     """
 
     p_min: float
@@ -57,12 +57,6 @@ class RegionRaster:
     ps: tuple
     qs: tuple
     columns: tuple
-
-    @property
-    def cells(self):
-        return tuple(
-            (p, q, cls) for p, runs in zip(self.ps, self.columns) for cls, a, b in runs for q in self.qs[a:b]
-        )
 
 
 def _axis_size(lo, hi, step):
@@ -116,10 +110,13 @@ def build_raster(p_min, p_max, q_min, q_max, step):
         raise ValueError("raster window must satisfy p_min <= p_max and q_min <= q_max")
     if step <= 0.0:
         raise ValueError("step must be > 0")
-    # The SVG spans each axis padded by half a step; that extent must be a double.
+    # The SVG divides by each axis's extent padded by half a step; it must be a positive double.
     half = step / 2.0
-    if (p_max + half) - (p_min - half) == math.inf or (q_max + half) - (q_min - half) == math.inf:
-        raise ValueError("raster window width passes the double range")
+    for extent in ((p_max + half) - (p_min - half), (q_max + half) - (q_min - half)):
+        if extent == math.inf:
+            raise ValueError("raster window width passes the double range")
+        if extent == 0.0:
+            raise ValueError("raster step is below the resolution of the window's doubles")
     n_cells = _axis_size(p_min, p_max, step) * _axis_size(q_min, q_max, step)
     if n_cells > _MAX_CELLS:
         raise ValueError(f"raster of {n_cells:,} cells exceeds the limit of {_MAX_CELLS:,}")
@@ -199,12 +196,12 @@ def write_svg(raster, path):
     for t in _ticks(x_lo, x_hi):
         out.append(
             f'<text x="{sx(t):.2f}" y="{_SIZE - _MARGIN_B + 22}" font-size="14" '
-            f'text-anchor="middle" fill="#333333">{t:g}</text>'
+            f'text-anchor="middle" fill="#333333">{t}</text>'
         )
     for t in _ticks(y_lo, y_hi):
         out.append(
             f'<text x="{_MARGIN_L - 10}" y="{sy(t) + 5:.2f}" font-size="14" '
-            f'text-anchor="end" fill="#333333">{t:g}</text>'
+            f'text-anchor="end" fill="#333333">{t}</text>'
         )
     out.append(
         f'<text x="{(_MARGIN_L + _SIZE - _MARGIN_R) / 2:.2f}" y="{_SIZE - 14}" '

@@ -18,3 +18,8 @@ with warnings.catch_warnings():
 # named file.  Tests read a digest here rather than repeat it.
 _PINNED_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
 PINNED = json.loads(_PINNED_PATH.read_text(encoding="utf-8"))
+
+
+def raster_cells(r):
+    """A raster's ``(p, q, cls)`` triples in cell order, expanded from its class runs."""
+    return tuple((p, q, cls) for p, runs in zip(r.ps, r.columns) for cls, a, b in runs for q in r.qs[a:b])

@@ -8,9 +8,11 @@ import re
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import wconvexity
 from conftest import PINNED
@@ -163,6 +165,73 @@ def test_raster_wider_than_the_doubles_is_refused(capsys, tmp_path, window, step
     assert not out.exists() and not svg.exists()
 
 
+# Half a step is lost against the window's edges, so the plot's extent rounds to zero.
+_UNRESOLVED = [
+    (["1", "3", "1e300", "1e300"], "0.5"),
+    (["1e308", "1e308", "-3", "0"], "1e6"),
+    (["1", "1", "2", "2"], "1e-300"),
+]
+_UNRESOLVED_ERROR = "error: raster step is below the resolution of the window's doubles\n"
+
+
+@pytest.mark.parametrize("window, step", _UNRESOLVED, ids=["q", "p", "both"])
+def test_raster_step_below_the_windows_resolution_is_refused(capsys, tmp_path, window, step):
+    # With or without an SVG, the CSV is not written either.
+    out, svg = tmp_path / "map.csv", tmp_path / "map.svg"
+    argv = ["raster", "--window", *window, "--step", step, "--out", str(out)]
+    for extra in ([], ["--svg", str(svg)]):
+        assert invoke(capsys, argv + extra) == (2, "", _UNRESOLVED_ERROR)
+        assert not out.exists() and not svg.exists()
+
+
+def _plain(x):
+    # A double as exact plain decimal digits: argparse takes "-1e-3" for an option.
+    return format(Decimal(x), "f")
+
+
+_BOUNDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, 1.0, 1e300, -1e300, 1e308, -1e308, 1.7e308, 5e-324]),
+)
+_STEPS = st.one_of(st.floats(5e-324, 1.7e308), st.sampled_from([5e-324, 1e-300, 0.5, 1e6, 1e308, 1.7e308]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_BOUNDS, _BOUNDS, _BOUNDS, _BOUNDS, _STEPS)
+@example(1.0, 3.0, 1e300, 1e300, 0.5)
+@example(1e308, 1e308, -3.0, 0.0, 1e6)
+@example(1.0, 1.0, 2.0, 2.0, 1e-300)
+def test_raster_exits_0_with_both_files_or_2_with_none(tmp_path_factory, a, b, c, d, step):
+    # Past 64 cells the cap refuses the window, which keeps each run small.
+    out, svg = (tmp_path_factory.mktemp("raster") / name for name in ("map.csv", "map.svg"))
+    (p_min, p_max), (q_min, q_max) = sorted((a, b)), sorted((c, d))
+    argv = ["raster", "--window", *map(_plain, (p_min, p_max, q_min, q_max)), "--step", repr(step)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(raster, "_MAX_CELLS", 64)
+        code = run(argv + ["--out", str(out), "--svg", str(svg)])
+    assert code in (0, 2)
+    assert out.exists() is svg.exists() is (code == 0)
+
+
+def _env_with_src(**extra):
+    # This environment, plus extra, with the package's source first on PYTHONPATH.
+    src = str(Path(wconvexity.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_the_module_entry_point_exits_with_the_code_of_run(tmp_path):
+    # python -m wconvexity.cli runs main(): a refusal is exit 2, one error line, no traceback.
+    out, svg = tmp_path / "map.csv", tmp_path / "map.svg"
+    window, step = _UNRESOLVED[0]
+    argv = ["raster", "--window", *window, "--step", step, "--out", str(out), "--svg", str(svg)]
+    done = subprocess.run(
+        [sys.executable, "-m", "wconvexity.cli", *argv], env=_env_with_src(), capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", _UNRESOLVED_ERROR)
+    assert not out.exists() and not svg.exists()
+
+
 def test_raster_unwritable_path(capsys, tmp_path):
     code, _, _ = invoke(capsys, ["raster", "--out", str(tmp_path)])  # a directory
     assert code == 2
@@ -290,15 +359,9 @@ def test_selftest_does_not_depend_on_simd_dispatch(capsys):
     # counts, verdicts and witness gaps to four digits.  Nor may the counts,
     # verdicts and witness gap signs of verify and counterexample.
     _skip_without_avx512()
-    src = str(Path(wconvexity.__file__).resolve().parents[1])
-    env = {
-        **os.environ,
-        "NPY_DISABLE_CPU_FEATURES": "X86_V4",
-        "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
-    }
     done = subprocess.run(
         [sys.executable, "-c", _RUNS_IN_A_SUBPROCESS, json.dumps([*_SELFTESTS, *_DISPATCH_DEPENDENT])],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        env=_env_with_src(NPY_DISABLE_CPU_FEATURES="X86_V4"), capture_output=True, text=True, timeout=120, check=True,
     )
     result = json.loads(done.stdout)
     assert result["avx512"] is False  # the override took effect

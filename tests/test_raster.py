@@ -6,8 +6,9 @@ below calls `classify` at every lattice point, so any window where the two
 differ in one cell fails here.  `write_csv` and `write_svg` format each p and
 q once, emit each run as one string join (the SVG's from per-q middles built
 once per column width) and write one p-column at a time.  The reference
-below formats every cell of `RegionRaster.cells` on its own, one f-string per
-row or rect, so any window where the two differ by one byte fails here.
+below classifies every lattice point of the raster's axes itself and formats
+each cell on its own, one f-string per row or rect, so any window where the
+writers differ from it by one byte, or the runs by one cell, fails here.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import PINNED
+from conftest import PINNED, raster_cells
 from wconvexity import raster
 from wconvexity.cli import run
 from wconvexity.theory import ConvexityClass, classify
@@ -34,9 +35,14 @@ _REFERENCE_FILL = {
 }
 
 
+def reference_cells(r):
+    # classify at every point of the raster's axes: the runs are not read.
+    return [(p, q, classify(p, q)) for p in r.ps for q in r.qs]
+
+
 def reference_csv(r):
     lines = ["p,q,class"]
-    lines.extend(f"{p!r},{q!r},{cls.value}" for p, q, cls in r.cells)
+    lines.extend(f"{p!r},{q!r},{cls.value}" for p, q, cls in reference_cells(r))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -54,7 +60,7 @@ def reference_rects(r):
         return raster._MARGIN_T + (y_hi - q) / (y_hi - y_lo) * plot_h
 
     rects = []
-    for p, q, cls in r.cells:
+    for p, q, cls in reference_cells(r):
         x = sx(p - half)
         y = sy(q + half)
         w = sx(p + half) - x
@@ -91,15 +97,6 @@ def test_default_outputs_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == DEFAULT_DIGESTS["svg"]
 
 
-def test_the_command_never_expands_the_cells(monkeypatch, tmp_path, capsys):
-    # Building and both writers work on the runs alone.
-    def refuse(r):
-        raise AssertionError("RegionRaster.cells expanded")
-
-    monkeypatch.setattr(raster.RegionRaster, "cells", property(refuse))
-    test_default_outputs_are_pinned(tmp_path, capsys)
-
-
 # The default window shifted by whole steps, as perfbench rotates it.
 SHIFTED = [
     ((-3.0 + sp * 0.25, 3.0 + sp * 0.25, -3.0 + sq * 0.25, 3.0 + sq * 0.25), 0.25)
@@ -118,7 +115,7 @@ def test_columns_of_two_widths_match_the_per_cell_reference(tmp_path):
     # and write_svg joins y to height once for each.
     r = raster.build_raster(-3.0, 3.0, -1.0, 1.0, 0.4)
     assert_matches_reference(r, tmp_path)
-    rects = (tmp_path / "map.svg").read_text().splitlines()[2 : 2 + len(r.cells)]
+    rects = (tmp_path / "map.svg").read_text().splitlines()[2 : 2 + len(r.ps) * len(r.qs)]
     assert len({re.search(r' width="([^"]*)"', rect)[1] for rect in rects}) >= 2
 
 
@@ -173,8 +170,9 @@ def per_cell_reference(p_min, p_max, q_min, q_max, step):
 def assert_classified_per_cell(window, step):
     r = raster.build_raster(*window, step)
     want = per_cell_reference(*window, step)
-    assert r.cells == want
-    assert repr(r.cells) == repr(want)  # signed zeros too
+    got = raster_cells(r)
+    assert got == want
+    assert repr(got) == repr(want)  # signed zeros too
     return r
 
 
@@ -246,7 +244,7 @@ def test_default_window_classifies_by_bisection(monkeypatch, shift, calls):
     monkeypatch.setattr(raster, "classify", lambda p, q: counted.append(None) or real_classify(p, q))
     sp, sq = (0.05 * k for k in shift)
     r = raster.build_raster(-3.0 + sp, 3.0 + sp, -3.0 + sq, 3.0 + sq, 0.05)
-    assert len(r.cells) == 14_641
+    assert len(raster_cells(r)) == 14_641
     assert len(counted) == calls < 2_000
 
 
@@ -280,6 +278,17 @@ def test_a_window_wider_than_the_doubles_is_refused_for_its_width(window, step):
         raster.build_raster(*window, step)
 
 
+# Half a step is lost against the window's edges, so the plot's extent rounds to zero.
+@pytest.mark.parametrize(
+    "window, step",
+    [((1.0, 3.0, 1e300, 1e300), 0.5), ((1e308, 1e308, -3.0, 0.0), 1e6), ((1.0, 1.0, 2.0, 2.0), 1e-300)],
+    ids=["q", "p", "both"],
+)
+def test_a_step_below_the_windows_resolution_is_refused(window, step):
+    with pytest.raises(ValueError, match="^raster step is below the resolution of the window's doubles$"):
+        raster.build_raster(*window, step)
+
+
 @pytest.mark.parametrize(
     "window, step", [((0.0, 1e6, 0.0, 1e6), 1e5), ((0.0, 1e300, 0.0, 1.0), 1e299)], ids=["1e6", "1e300"]
 )
@@ -291,9 +300,20 @@ def test_tick_labels_are_bounded_on_a_wide_window(tmp_path, window, step):
     assert path.read_text().count("<text") <= 2 * raster._MAX_TICKS + 5
 
 
+def test_integer_tick_labels_keep_every_digit(tmp_path):
+    # Formatted with {t:g}, all six p labels read 1e+06.
+    path = tmp_path / "map.svg"
+    raster.write_svg(raster.build_raster(1e6, 1e6 + 5, 0.0, 1.0, 0.5), path)
+    svg = path.read_text()
+    p_labels = re.findall(f'y="{raster._SIZE - raster._MARGIN_B + 22}" [^>]*>([^<]*)</text>', svg)
+    q_labels = re.findall(r'text-anchor="end" [^>]*>([^<]*)</text>', svg)
+    assert p_labels == [str(t) for t in range(1_000_000, 1_000_006)]
+    assert q_labels == ["0", "1"]
+
+
 def test_the_cell_cap_admits_a_raster_of_exactly_its_size(monkeypatch):
     monkeypatch.setattr(raster, "_MAX_CELLS", 9)
-    assert len(raster.build_raster(0.0, 1.0, 0.0, 1.0, 0.5).cells) == 9
+    assert len(raster_cells(raster.build_raster(0.0, 1.0, 0.0, 1.0, 0.5))) == 9
     monkeypatch.setattr(raster, "_MAX_CELLS", 8)
     with pytest.raises(ValueError, match="^raster of 9 cells"):
         raster.build_raster(0.0, 1.0, 0.0, 1.0, 0.5)

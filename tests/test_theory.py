@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import raster_cells
 from wconvexity import raster
 from wconvexity.lambert import w0, w0_prime
 from wconvexity.theory import (
@@ -461,7 +462,7 @@ def _slope_lemma_class(p, q):
     ],
 )
 def test_classify_agrees_with_the_slope_lemma_on_raster_windows(window, step):
-    for p, q, cls in raster.build_raster(*window, step).cells:
+    for p, q, cls in raster_cells(raster.build_raster(*window, step)):
         assert classify(p, q) is cls is _slope_lemma_class(p, q), (p, q)
 
 

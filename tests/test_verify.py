@@ -613,8 +613,10 @@ def test_cell_part_extremes_equal_the_where_argmax(gap):
 
 @functools.cache
 def _default_raster():
-    # The default raster's cells, and the cells that fail a counts-only scan at 10k samples.
-    cells = build_raster(-3.0, 3.0, -3.0, 3.0, 0.05).cells
+    # The default raster's cells, each classified here, and the cells that
+    # fail a counts-only scan at 10k samples.
+    r = build_raster(-3.0, 3.0, -3.0, 3.0, 0.05)
+    cells = tuple((p, q, classify(p, q)) for p in r.ps for q in r.qs)
     counts = _scan(tuple((p, q) for p, q, _ in cells), 10_000, 42, records=False)
     failing = tuple(
         (p, q)
@@ -642,13 +644,17 @@ _SMALL_ORDERS_AXIS = sorted(s * m for m in (1e-5, 2e-5, 1e-4, 1e-3, 1e-2) for s 
 
 
 @pytest.mark.parametrize("seed", [42, 7])
-def test_every_small_order_cell_is_graded_or_explained(seed):
-    # Counts-only at 100k samples: every convex and concave cell passes (with
-    # _SMALL_P at 1e-5, 4 failed at seed 42 and 12 at seed 7, each on one
-    # wrong-sign gap).  A failing "neither" cell has p < 0, q < 0, one sign
-    # only, and its turning radius r* past the window's upper edge.
+def test_every_small_order_cell_is_graded_or_explained(seed, iv80):
+    # 100k samples, counts only for the convex and concave cells: every one
+    # passes (with _SMALL_P at 1e-5, 4 failed at seed 42 and 12 at seed 7,
+    # each on one wrong-sign gap).  A failing "neither" cell has p < 0, q < 0,
+    # one sign only, and its turning radius r* past the window's upper edge.
+    # A passing one has its top and bottom certified in interval arithmetic,
+    # so no spurious sign made it pass.
     cells = tuple((p, q) for p in _SMALL_ORDERS_AXIS for q in _SMALL_ORDERS_AXIS)
-    graded = [(cell, classify(*cell), part) for cell, part in zip(cells, _scan(cells, 100_000, seed, False))]
+    classes = [classify(*cell) for cell in cells]
+    modes = ["extremes" if cls is NEITHER else False for cls in classes]
+    graded = list(zip(cells, classes, _scan(cells, 100_000, seed, modes)))
     failing = [
         (cell, cls, part) for cell, cls, part in graded if verify._verdict(cls, part.positive, part.negative) == "fail"
     ]
@@ -658,6 +664,11 @@ def test_every_small_order_cell_is_graded_or_explained(seed):
         assert p < 0.0 and q < 0.0 and part.negative == 0, (p, q)
         assert _turning_radius(p, q) > SAMPLE_DOMAIN[1], (p, q)
     assert len(failing) == 15
+    passing = [(cell, part) for cell, cls, part in graded if cls is NEITHER and part.positive and part.negative]
+    for (p, q), part in passing:
+        assert _certified(iv80, p, q, part.top[0], 1), (p, q, part.top)
+        assert _certified(iv80, p, q, part.bottom[0], -1), (p, q, part.bottom)
+    assert len(passing) == 45
 
 
 def test_merge_keeps_the_earlier_record_among_equal_gaps():
