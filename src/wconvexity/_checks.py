@@ -8,7 +8,7 @@ import numpy as np
 def finite(value, name):
     """value as a float; ValueError for NaN or infinity.
 
-    Pure Python on purpose: classify() runs it for every raster cell.
+    Pure Python on purpose: it checks scalars, e.g. at each classify() probe of a raster.
     """
     value = float(value)
     if not math.isfinite(value):

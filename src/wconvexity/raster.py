@@ -119,7 +119,8 @@ def build_raster(p_min, p_max, q_min, q_max, step):
             raise ValueError("raster step is below the resolution of the window's doubles")
     n_cells = _axis_size(p_min, p_max, step) * _axis_size(q_min, q_max, step)
     if n_cells > _MAX_CELLS:
-        raise ValueError(f"raster of {n_cells:,} cells exceeds the limit of {_MAX_CELLS:,}")
+        count = f"{n_cells:,}" if n_cells < math.inf else f"more than {_MAX_CELLS:,}"
+        raise ValueError(f"raster of {count} cells exceeds the limit of {_MAX_CELLS:,}")
     ps, qs = tuple(_axis(p_min, p_max, step)), tuple(_axis(q_min, q_max, step))
     columns = tuple(_column(p, qs) for p in ps)
     return RegionRaster(p_min, p_max, q_min, q_max, step, ps, qs, columns)

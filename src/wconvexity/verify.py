@@ -71,8 +71,7 @@ _CHUNK = 1 << 15
 _WORST_KEPT = 10
 
 # Verification fixtures: the 11x11 soundness grid, the slope-lemma orders,
-# the twelve g-lemma clause pairs, the four "neither" search targets, and
-# one representative (p, q, verdict) per proof case of the classification.
+# the twelve g-lemma clause pairs, and the four "neither" search targets.
 GRID_AXIS = (-3.0, -2.0, -1.0, -0.75, -0.5, -0.25, -0.1, 0.0, 0.25, 1.0, 2.0)
 H_LEMMA_FIXTURES = (-2.0, -1.0, -0.9, -0.75, -0.5, -0.25, -0.1, 0.0, 0.5, 2.0)
 G_LEMMA_FIXTURES = (
@@ -90,25 +89,6 @@ G_LEMMA_FIXTURES = (
     (-0.5, -1.0),
 )
 NEITHER_FIXTURES = ((2.0, 3.0), (-2.0, -3.0), (0.0, 0.5), (-0.5, -1.0))
-CASE_FIXTURES = (
-    (2.0, 1.0, ConvexityClass.STRICTLY_CONCAVE),
-    (1.0, -1.0, ConvexityClass.STRICTLY_CONCAVE),
-    (2.0, 3.0, ConvexityClass.NEITHER),
-    (-1.0, -1.0, ConvexityClass.STRICTLY_CONVEX),
-    (-2.0, 1.0, ConvexityClass.STRICTLY_CONVEX),
-    (-2.0, -3.0, ConvexityClass.NEITHER),
-    (-0.5, -0.25, ConvexityClass.STRICTLY_CONVEX),
-    (-0.25, 1.0, ConvexityClass.STRICTLY_CONVEX),
-    (-0.5, -1.0, ConvexityClass.NEITHER),
-    (1.0, 0.0, ConvexityClass.STRICTLY_CONCAVE),
-    (-1.5, 0.0, ConvexityClass.STRICTLY_CONVEX),
-    (-0.25, 0.0, ConvexityClass.STRICTLY_CONVEX),
-    (-0.1, 0.0, ConvexityClass.NEITHER),
-    (0.0, 1.0, ConvexityClass.STRICTLY_CONVEX),
-    (0.0, -1.0, ConvexityClass.STRICTLY_CONCAVE),
-    (0.0, 0.5, ConvexityClass.NEITHER),
-    (0.0, 0.0, ConvexityClass.STRICTLY_CONCAVE),
-)
 
 
 def _selftest_checks(samples, seed, inject_fault):
@@ -292,9 +272,9 @@ class VerificationReport:
 class _Part:
     """Scan result over a range of sample indices; _merge_parts combines two.
 
-    worst, top and bottom hold ComparisonRecords ranked by _ranked: the
-    _WORST_KEPT largest |gap| overall, and the largest significant positive
-    and negative gap (empty when there is none).
+    Every _cell_part mode fills the sign counts; records=True alone fills worst,
+    the _WORST_KEPT largest |gap|, and "extremes" alone top and bottom, the largest
+    significant positive and negative gap (empty if none); all ranked by _ranked.
     """
 
     positive: int
@@ -320,7 +300,7 @@ def _ranked(records, k):
 
 
 def _cell_part(p, q, x, y, lhs, rhs, records):
-    """One cell's _Part: counts only for records=False, top and bottom for "extremes", all for True."""
+    """One cell's _Part: counts, plus worst for records=True or top and bottom for "extremes"."""
     gap = lhs - rhs
     # significance_threshold without its abs: lhs = W(H_p) and rhs = H_q(W, W) are > 0.
     tol = SIGNIFICANCE_REL * np.maximum(np.maximum(lhs, rhs), 1.0)
@@ -329,23 +309,23 @@ def _cell_part(p, q, x, y, lhs, rhs, records):
     counts = int(np.count_nonzero(positive)), int(np.count_nonzero(negative))
     if not records:
         return _Part(*counts, (), (), ())
-    columns = (x, y, lhs, rhs, gap)
-    abs_gap = np.abs(gap)
-
-    def extreme(mask):
+    columns, abs_gap = (x, y, lhs, rhs, gap), np.abs(gap)
+    if records != "extremes":
+        return _Part(*counts, tuple(_record(p, q, columns, i) for i in _top_k(abs_gap, _WORST_KEPT)), (), ())
+    ends = []
+    for mask in (positive, negative):
         # Masked-in gaps exceed tol > 0 and the rest read 0; with none, mask[0] is False.
         i = np.argmax(abs_gap * mask)
-        return (_record(p, q, columns, i),) if mask[i] else ()
-
-    worst = _top_k(abs_gap, _WORST_KEPT) if records != "extremes" else ()
-    return _Part(*counts, tuple(_record(p, q, columns, i) for i in worst), extreme(positive), extreme(negative))
+        ends.append((_record(p, q, columns, i),) if mask[i] else ())
+    return _Part(*counts, (), *ends)
 
 
 def _scan_part(cells, seed, start, count, records=True):
     """Scan samples [start, start+count) into one _Part per (p, q) cell.
 
     records is one _cell_part mode for every cell, or a sequence of one
-    mode per cell.  W(H_p(x, y)) is taken once per distinct p, W(x) and
+    mode per cell: False (counts), True (worst too) or "extremes" (top and
+    bottom too).  W(H_p(x, y)) is taken once per distinct p, W(x) and
     W(y) once, and H_q(W(x), W(y)) once per distinct q; the cells share
     these columns.  Each column is made just before its first cell and
     dropped after its last, W(x) and W(y) once every H_q exists: a 1x1
@@ -405,12 +385,12 @@ def _workers():
 def _scan(cells, n, seed, records=True, start=0):
     """Samples [start, start+n) in chunks of _CHUNK, merged into one _Part per cell.
 
-    records is as for _scan_part.  The chunks run on up to _workers()
-    threads, one chunk per thread at a time: NumPy releases the GIL in its
-    loops, and _scan_part is pure.  A scan with one worker or one chunk
-    starts no thread.  The calling thread queues 64 chunks at a time (31
-    make a 1M-sample scan) and folds each piece in sample order as it
-    arrives: the result does not depend on the worker count, nor memory on n.
+    records is as for _scan_part, and picks the _Part fields filled.  The
+    chunks run on up to _workers() threads, one chunk per thread at a time:
+    NumPy releases the GIL in its loops, and _scan_part is pure.  A scan with
+    one worker or one chunk starts no thread.  The calling thread queues 64
+    chunks at a time (31 make a 1M-sample scan) and folds each piece in sample
+    order as it arrives: the result does not depend on the worker count, nor memory on n.
     """
     stop = start + n
     starts = range(start, stop, _CHUNK)

@@ -147,6 +147,15 @@ def test_raster_past_the_cell_cap_writes_nothing(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_raster_whose_cell_count_leaves_the_doubles_writes_nothing(capsys, tmp_path):
+    out, svg = tmp_path / "x.csv", tmp_path / "x.svg"
+    argv = ["raster", "--window", "0", "1e300", "0", "1", "--step", "1e-10", "--out", str(out), "--svg", str(svg)]
+    code, _, err = invoke(capsys, argv)
+    assert code == 2
+    assert "cells exceeds the limit" in err and "inf" not in err
+    assert not out.exists() and not svg.exists()
+
+
 # -1e308 in digits: argparse takes "-1e308" for an option.
 _WIDE = (str(-(10**308)), "1e308")
 

@@ -261,6 +261,15 @@ def test_a_raster_past_the_cell_cap_is_refused_before_it_is_built(step):
         raster.build_raster(-3.0, 3.0, -3.0, 3.0, step)
 
 
+def test_a_raster_whose_cell_count_leaves_the_doubles_states_no_count():
+    # 1e300 / 1e-10 lattice points along p overflow to inf, which the message must not print.
+    with pytest.raises(ValueError, match="cells exceeds the limit") as err:
+        raster.build_raster(0.0, 1e300, 0.0, 1.0, 1e-10)
+    cap = f"{raster._MAX_CELLS:,}"
+    assert str(err.value) == f"raster of more than {cap} cells exceeds the limit of {cap}"
+    assert "inf" not in str(err.value)
+
+
 # Three lattice points along the wide axis, but hi - lo overflows to inf; or
 # one point, but the half-step padding of the plot overflows.
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from wconvexity import lambert, theory, verify
 from wconvexity.raster import build_raster
 from wconvexity.theory import ConvexityClass, HpqParams, _ln_g, classify, h_p
 from wconvexity.verify import (
-    CASE_FIXTURES,
     GRID_AXIS,
     G_LEMMA_FIXTURES,
     H_LEMMA_FIXTURES,
@@ -284,6 +283,28 @@ def test_verify_region_soundness_on_grid_light():
             assert rep.verdict == "pass", (p, q, rep)
 
 
+# One representative (p, q, verdict) per proof case of the classification.
+CASE_FIXTURES = (
+    (2.0, 1.0, ConvexityClass.STRICTLY_CONCAVE),
+    (1.0, -1.0, ConvexityClass.STRICTLY_CONCAVE),
+    (2.0, 3.0, ConvexityClass.NEITHER),
+    (-1.0, -1.0, ConvexityClass.STRICTLY_CONVEX),
+    (-2.0, 1.0, ConvexityClass.STRICTLY_CONVEX),
+    (-2.0, -3.0, ConvexityClass.NEITHER),
+    (-0.5, -0.25, ConvexityClass.STRICTLY_CONVEX),
+    (-0.25, 1.0, ConvexityClass.STRICTLY_CONVEX),
+    (-0.5, -1.0, ConvexityClass.NEITHER),
+    (1.0, 0.0, ConvexityClass.STRICTLY_CONCAVE),
+    (-1.5, 0.0, ConvexityClass.STRICTLY_CONVEX),
+    (-0.25, 0.0, ConvexityClass.STRICTLY_CONVEX),
+    (-0.1, 0.0, ConvexityClass.NEITHER),
+    (0.0, 1.0, ConvexityClass.STRICTLY_CONVEX),
+    (0.0, -1.0, ConvexityClass.STRICTLY_CONCAVE),
+    (0.0, 0.5, ConvexityClass.NEITHER),
+    (0.0, 0.0, ConvexityClass.STRICTLY_CONCAVE),
+)
+
+
 @pytest.mark.parametrize("p,q,expected", CASE_FIXTURES)
 def test_verify_region_case_fixtures(p, q, expected):
     rep = verify_region(HpqParams(p, q), 5_000, 11)
@@ -322,11 +343,13 @@ CELL_LISTS = [
 
 @pytest.mark.parametrize("cells", CELL_LISTS, ids=["diagonal", "same-p", "same-q", "unordered", "neither"])
 def test_scan_over_a_cell_list_equals_per_cell_scans(cells):
-    parts = _scan_part(cells, 9, 0, 5_000)
-    assert parts == [_scan_part((cell,), 9, 0, 5_000)[0] for cell in cells]
-    # A scan without records counts exactly the signs a scan with them does.
+    parts, extremes = _scan_part(cells, 9, 0, 5_000), _scan_part(cells, 9, 0, 5_000, "extremes")
+    for whole, records in ((parts, True), (extremes, "extremes")):
+        assert whole == [_scan_part((cell,), 9, 0, 5_000, records)[0] for cell in cells]
+    # Every mode counts exactly the signs the others do.
     counts = [_Part(part.positive, part.negative, (), (), ()) for part in parts]
-    for records, expected in ((True, parts), (False, counts)):
+    assert counts == [_Part(part.positive, part.negative, (), (), ()) for part in extremes]
+    for records, expected in ((True, parts), (False, counts), ("extremes", extremes)):
         pieces = [_scan_part(cells, 9, start, 1_250, records) for start in range(0, 5_000, 1_250)]
         left = pieces[0]
         for piece in pieces[1:]:
@@ -335,6 +358,18 @@ def test_scan_over_a_cell_list_equals_per_cell_scans(cells):
         for piece in reversed(pieces[:-1]):
             right = list(map(_merge_parts, piece, right))
         assert left == right == expected
+
+
+@pytest.mark.parametrize("chunk", [1_000, None])
+def test_each_record_mode_builds_only_what_its_callers_read(monkeypatch, chunk):
+    # verify_region reads worst and the searches read top and bottom: a True
+    # part holds no witness and an "extremes" part no worst record, merged or not.
+    if chunk is not None:
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+    for part in _scan(NEITHER_FIXTURES, 5_000, 42):
+        assert len(part.worst) == _WORST_KEPT and part.top == part.bottom == ()
+    for part in _scan(NEITHER_FIXTURES, 5_000, 42, "extremes"):
+        assert part.worst == () and len(part.top) == len(part.bottom) == 1
 
 
 def _scan_peak_bytes(cells, count):
@@ -427,7 +462,7 @@ def test_w0_calls_per_chunk(monkeypatch, chunk, n, chunks):
 )
 def test_selftest_head_and_tail_scans_equal_whole_scans(monkeypatch, chunk, samples):
     # The region labels' counts are the grid's own scan's, and the merged
-    # search parts that the witness step gets are a whole scan's, less worst.
+    # search parts that the witness step gets are a whole "extremes" scan's.
     if chunk is not None:
         monkeypatch.setattr(verify, "_CHUNK", chunk)
     searched, real_witnesses = [], verify._witnesses
@@ -442,8 +477,7 @@ def test_selftest_head_and_tail_scans_equal_whole_scans(monkeypatch, chunk, samp
     counts = [tuple(map(int, m.groups())) for m in map(region.match, labels) if m]
     grid = tuple(itertools.product(GRID_AXIS, GRID_AXIS))
     assert counts == [(part.positive, part.negative) for part in _scan(grid, samples, 42, records=False)]
-    whole = _scan(NEITHER_FIXTURES, 10 * samples, 42)
-    assert searched == [dataclasses.replace(part, worst=()) for part in whole]
+    assert searched == _scan(NEITHER_FIXTURES, 10 * samples, 42, "extremes")
 
 
 def test_selftest_shares_the_grid_scan_with_the_searches(monkeypatch):
@@ -603,7 +637,7 @@ def test_cell_part_extremes_equal_the_where_argmax(gap):
     rhs = np.full(gap.size, 4.0)
     lhs = rhs + gap
     x, y = np.arange(1.0, gap.size + 1.0), np.full(gap.size, 2.0)
-    part = verify._cell_part(-0.5, -1.0, x, y, lhs, rhs, True)
+    part = verify._cell_part(-0.5, -1.0, x, y, lhs, rhs, "extremes")
     columns = (x, y, lhs, rhs, lhs - rhs)
     gap, tol = columns[-1], significance_threshold(lhs, rhs)
     for mask, got in ((gap > tol, part.top), (gap < -tol, part.bottom)):
@@ -868,7 +902,7 @@ def _refine_reference(p, q, origin, sign):
 
 
 def _scan_extremes(p, q, budget, seed):
-    (part,) = verify._scan(((p, q),), budget, seed)
+    (part,) = verify._scan(((p, q),), budget, seed, "extremes")
     return part.top[0], part.bottom[0]
 
 
@@ -899,7 +933,7 @@ def test_lockstep_search_falls_back_per_direction(kept):
 
 
 def _scan_origins(cells, budget, seed):
-    return [origin for part in _scan(cells, budget, seed) for origin in (part.top[0], part.bottom[0])]
+    return [origin for part in _scan(cells, budget, seed, "extremes") for origin in (part.top[0], part.bottom[0])]
 
 
 def _scalar_polish(cells, origins):
