@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
@@ -63,10 +63,11 @@ _LEMMA_LOGS = np.log(_LEMMA_GRID), np.log(_LEMMA_W), np.log1p(_LEMMA_W)
 DEFAULT_SAMPLES = 10_000
 DEFAULT_BUDGET = 100_000
 DEFAULT_SEED = 42
-# Samples per chunk.  Each worker thread has one chunk in flight, and a
-# one-cell _scan_part peaks at 3.0 MiB (tracemalloc) at 2**15, 6.0 MiB at
-# 2**16.  With two workers, 2**16 raised a 1M-sample verify's peak RSS by
-# 22.6% (43.25 -> 53.03 MB); 2**15 raises it by 1.6-2.0 MB.
+# Most samples per chunk; _scan balances its chunks up to it.  Each worker
+# thread has one chunk in flight, and a one-cell _scan_part peaks at 3.0 MiB
+# (tracemalloc) at 2**15, 6.0 MiB at 2**16.  With two workers, 2**16 raised a
+# 1M-sample verify's peak RSS by 22.6% (43.25 -> 53.03 MB); 2**15 raises it
+# by 1.6-2.0 MB.
 _CHUNK = 1 << 15
 _WORST_KEPT = 10
 
@@ -382,27 +383,62 @@ def _workers():
     return os.cpu_count() or 1
 
 
+@functools.cache
+def _pool(workers):
+    # The process's one pool per worker count; its threads start as scans need them, and stay.
+    return ThreadPoolExecutor(workers)
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child has none of its parent's threads: a cached pool would wait on them forever.
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def _scan(cells, n, seed, records=True, start=0):
-    """Samples [start, start+n) in chunks of _CHUNK, merged into one _Part per cell.
+    """Samples [start, start+n) in balanced chunks, merged into one _Part per cell.
 
     records is as for _scan_part, and picks the _Part fields filled.  The
-    chunks run on up to _workers() threads, one chunk per thread at a time:
-    NumPy releases the GIL in its loops, and _scan_part is pure.  A scan with
-    one worker or one chunk starts no thread.  The calling thread queues 64
-    chunks at a time (31 make a 1M-sample scan) and folds each piece in sample
-    order as it arrives: the result does not depend on the worker count, nor memory on n.
+    scan takes k = ceil(n / _CHUNK) chunks, rounds k up to a multiple of
+    _workers() when k > 1, and cuts the samples into chunks of ceil(n / k):
+    no chunk exceeds _CHUNK, and each round of chunks keeps every worker
+    busy (on two workers, 100,000 samples are 4 chunks of 25,000 and 1M are
+    32 of 31,250).  The chunks run on the process's one pool of _workers()
+    threads, one chunk per thread at a time: NumPy releases the GIL in its
+    loops, and _scan_part is pure.  A scan with one worker or one chunk runs
+    on the calling thread.  The calling thread queues 64 chunks at a time and
+    folds each piece in sample order as it arrives: the result depends on
+    neither the chunking nor the worker count, and memory not on n.  If a
+    chunk raises, the queued chunks are cancelled and the running ones
+    finish before the error reaches the caller.
     """
-    stop = start + n
-    starts = range(start, stop, _CHUNK)
+    workers, stop = _workers(), start + n
+    k = -(-n // _CHUNK)
+    if k > 1:
+        k += -k % workers
+    size = -(-n // k)
+    starts = range(start, stop, size)
 
     def scan(i):
-        return _scan_part(cells, seed, i, min(_CHUNK, stop - i), records)
+        return _scan_part(cells, seed, i, min(size, stop - i), records)
 
-    workers = min(_workers(), len(starts))
-    with ThreadPoolExecutor(workers) as pool:
-        batches = (starts[i : i + 64] for i in range(0, len(starts), 64))
-        pieces = itertools.chain.from_iterable((pool.map if workers > 1 else map)(scan, b) for b in batches)
-        return functools.reduce(lambda a, b: list(map(_merge_parts, a, b)), pieces)
+    def merge(a, b):
+        return list(map(_merge_parts, a, b))
+
+    if workers == 1 or len(starts) == 1:
+        return functools.reduce(merge, map(scan, starts))
+    pool, merged = _pool(workers), None
+    for i in range(0, len(starts), 64):
+        futures = [pool.submit(scan, j) for j in starts[i : i + 64]]
+        try:
+            for future in futures:
+                piece = future.result()
+                merged = piece if merged is None else merge(merged, piece)
+        finally:
+            # On any exit before the last piece, no queued chunk starts and no chunk outlives the scan.
+            for future in futures:
+                future.cancel()
+            wait(futures)
+    return merged
 
 
 def _verdict(expected, n_positive, n_negative):

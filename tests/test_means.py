@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ORDERS
 from wconvexity import _checks
 from wconvexity.means import holder_mean, quartic_harmonic_form
-from wconvexity.verify import sample_pairs
+from wconvexity.verify import SAMPLE_DOMAIN, sample_pairs
 
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 orders = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -60,17 +61,23 @@ _BAND_ORDERS = (1e-5, -1e-5, 2e-5, -2e-5, 1e-4, -1e-4, 1e-3, -1e-3, 1e-2, -1e-2,
 _OTHER_ORDERS = (0.5, -0.25, 2.0, -3.0, 300.0, -300.0, 1e300, -1e300)
 
 
+def _readme_bound(p, a, b, ref):
+    # README's bound on holder_mean(p, a, b) relative to its exact value ref.
+    # Below |p| = 0.03, where |p ln(a/b)| < 2, the mean is G * exp(E) with
+    # E = ln(H/G), so rounding in E grows by (1 + |E|): 4 ulp times that.
+    # Otherwise r**p or the log-space sum loses up to 2 eps * (2 + |ln H|), and
+    # below |p| = 0.25 the power 1/p amplifies the rounding of the sum by 1/|p|.
+    ln_a, ln_b, ln_h = math.log(a), math.log(b), math.log(ref)
+    if abs(p) < 0.03 and abs(p * (ln_a - ln_b)) < 2:
+        return 4 * np.spacing(ref) / ref * (1 + abs(ln_h - (ln_a + ln_b) / 2))
+    return 2 * np.finfo(np.float64).eps * (2 + abs(ln_h) + (1 / abs(p) if abs(p) < 0.25 else 0))
+
+
 @pytest.mark.parametrize("p", _SMALL_ORDERS + _BAND_ORDERS + _OTHER_ORDERS)
 def test_holder_mean_matches_mpmath(p):
-    # Reference from the definition, with 40 digits beyond the ones 1/p
-    # cancels.  Bounds: below |p| = 0.03, where |p ln(r/s)| < 2, the mean is
-    # G * exp(E) with E = ln(H/G), so rounding in E grows by (1 + |E|): 4 ulp
-    # times that.  Otherwise r**p or the log-space sum loses up to
-    # 2 eps * (2 + |ln H|), and for the band orders the power 1/p amplifies
-    # the rounding of the sum by 1/|p| as well.
+    # Reference from the definition, with 40 digits beyond the ones 1/p cancels.
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(7)
-    eps = np.finfo(np.float64).eps
     # The sampling window, then nearly the whole double range.
     for lo, hi in ((-6.0, 22.0), (-300.0, 300.0)):
         r, s = 10.0 ** rng.uniform(lo, hi, (2, 200))
@@ -78,16 +85,29 @@ def test_holder_mean_matches_mpmath(p):
         with mpmath.workdps(40 + max(0, math.ceil(-math.log10(abs(p))))):
             mp = mpmath.mpf(p)
             for a, b, v in zip(r, s, h):
-                ln_a, ln_b = mpmath.log(a), mpmath.log(b)
-                ref = ((mpmath.exp(mp * ln_a) + mpmath.exp(mp * ln_b)) / 2) ** (1 / mp)
-                rel = float(abs(mpmath.mpf(v) / ref - 1))
-                ln_h = float(mpmath.log(ref))
-                if abs(p) < 0.03 and abs(p * float(ln_a - ln_b)) < 2:
-                    ulp = np.spacing(float(ref)) / float(ref)
-                    bound = 4 * ulp * (1 + abs(ln_h - float(ln_a + ln_b) / 2))
-                else:
-                    bound = 2 * eps * (2 + abs(ln_h) + (1 / abs(p) if p in _BAND_ORDERS else 0))
-                assert rel <= bound, (p, a, b)
+                ref = ((mpmath.exp(mp * mpmath.log(a)) + mpmath.exp(mp * mpmath.log(b))) / 2) ** (1 / mp)
+                assert float(abs(mpmath.mpf(v) / ref - 1)) <= _readme_bound(p, a, b, float(ref)), (p, a, b)
+
+
+@pytest.mark.parametrize("window", [SAMPLE_DOMAIN, (1e-300, 1e300)], ids=["sample-domain", "double-range"])
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(p=ORDERS, data=st.data())
+def test_holder_mean_meets_the_readme_bound_at_orders_drawn_by_magnitude(window, p, data):
+    # Every order magnitude from 1e-8 to 1e3 against 50-digit mpmath (at most
+    # 8 of them cancel, at |p| = 1e-8), the branch edges included.
+    mpmath = pytest.importorskip("mpmath")
+    exponent = st.floats(*map(math.log10, window))
+    pairs = data.draw(st.lists(st.tuples(exponent, exponent), min_size=1, max_size=16))
+    r, s = np.clip(10.0 ** np.array(pairs).T, *window)
+    h = holder_mean(p, r, s)
+    with mpmath.workdps(50):
+        mp = mpmath.mpf(p)
+        for a, b, v in zip(r, s, h):
+            if p:
+                ref = ((mpmath.exp(mp * mpmath.log(a)) + mpmath.exp(mp * mpmath.log(b))) / 2) ** (1 / mp)
+            else:
+                ref = mpmath.sqrt(mpmath.mpf(a) * b)
+            assert float(abs(mpmath.mpf(v) / ref - 1)) <= _readme_bound(p, a, b, float(ref)), (p, a, b)
 
 
 @pytest.mark.parametrize("p", (3e-3, -3e-3, 1e-2, -1e-2, 0.0299, -0.0299))

@@ -5,11 +5,16 @@ import functools
 import itertools
 import json
 import math
+import os
 import re
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 import types
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -426,8 +431,11 @@ def test_grid_reports_equal_per_cell_reports(monkeypatch, chunk, n):
         assert report.worst_records == part.worst
 
 
-@pytest.mark.parametrize("chunk,n,chunks", [(None, 1_000, 1), (7, 20, 3)])
+# On three workers at _CHUNK = 7, 20 samples are chunks of 7, 7 and 6, and 30
+# samples take five chunks, rounded up to six of 5.
+@pytest.mark.parametrize("chunk,n,chunks", [(None, 1_000, 1), (7, 20, 3), (7, 30, 6)])
 def test_w0_calls_per_chunk(monkeypatch, chunk, n, chunks):
+    monkeypatch.setattr(verify, "_workers", lambda: 3)
     if chunk is not None:
         monkeypatch.setattr(verify, "_CHUNK", chunk)
     calls, real_w0 = [], verify.w0
@@ -483,11 +491,13 @@ def test_selftest_head_and_tail_scans_equal_whole_scans(monkeypatch, chunk, samp
 def test_selftest_shares_the_grid_scan_with_the_searches(monkeypatch):
     # The searches' first 10,000 samples come from the grid's one-chunk scan:
     # 13 w0 calls for the grid and the four search cells, 6 per tail chunk,
-    # 10 for the polish and 8 for the chain (55 calls over 776,100 elements
-    # and 140 holder_mean calls over 1,054,067 when the searches scanned
-    # all 100,000 samples on their own).  The head scans the 123 distinct
-    # cells once ((-2, -3) and (-0.5, -1) are grid and search cells), and each
-    # of the three tail chunks the four search cells: 135 _cell_part calls.
+    # 10 for the polish and 8 for the chain.  On two workers the tail's 90,000
+    # samples are four chunks of 22,500 (61 w0 calls over 776,100 elements and
+    # 148 holder_mean calls over 1,054,067 when the searches scanned all
+    # 100,000 samples on their own, as four chunks of 25,000).  The head scans
+    # the 123 distinct cells once ((-2, -3) and (-0.5, -1) are grid and search
+    # cells), and each tail chunk the four search cells: 139 _cell_part calls.
+    monkeypatch.setattr(verify, "_workers", lambda: 2)
     calls = {"w0": [], "holder_mean": [], "_cell_part": []}
 
     def traced(real, sizes):
@@ -497,9 +507,9 @@ def test_selftest_shares_the_grid_scan_with_the_searches(monkeypatch):
     for name, sizes in calls.items():
         monkeypatch.setattr(verify, name, traced(getattr(verify, name), sizes))
     assert all(ok for ok, _ in verify._selftest_checks(10_000, 42, False))
-    assert (len(calls["w0"]), sum(calls["w0"])) == (49, 716_100)
-    assert (len(calls["holder_mean"]), sum(calls["holder_mean"])) == (134, 994_067)
-    assert len(calls["_cell_part"]) == 135
+    assert (len(calls["w0"]), sum(calls["w0"])) == (55, 716_100)
+    assert (len(calls["holder_mean"]), sum(calls["holder_mean"])) == (142, 994_067)
+    assert len(calls["_cell_part"]) == 139
 
 
 @pytest.mark.parametrize(
@@ -555,22 +565,127 @@ def test_worker_count_does_not_change_results(monkeypatch, w0):
 
 
 def test_scan_error_reaches_the_caller_and_stops_the_workers(monkeypatch):
+    # The sixth w0 call fails while later chunks are still queued or running.
+    # _scan cancels the queued ones and waits for the running ones, then raises
+    # that very error: no w0 call starts after it.  The pool's threads serve
+    # the next scan, so 20 failing scans leave no more new threads than the
+    # pool's eight (it starts them as it needs them, so the first scan may
+    # start fewer).
     monkeypatch.setattr(verify, "_CHUNK", 7)
     monkeypatch.setattr(verify, "_workers", lambda: 8)
-    error, calls, real_w0 = RuntimeError("no convergence"), itertools.count(), verify.w0
+    error, real_w0, raised, late = RuntimeError("no convergence"), verify.w0, threading.Event(), []
 
     def failing_w0(z):
-        # The sixth call fails while later chunks are still pending.
+        if raised.is_set():
+            late.append(z)
         if next(calls) == 5:
             raise error
         return real_w0(z)
 
     monkeypatch.setattr(verify, "w0", failing_w0)
-    threads = threading.active_count()
-    with pytest.raises(RuntimeError) as info:
-        verify_region(HpqParams(-0.5, -1.0), 200, 42)
-    assert info.value is error
-    assert threading.active_count() == threads
+    before, new = set(threading.enumerate()), set()
+    for _ in range(20):
+        calls = itertools.count()
+        raised.clear()
+        with pytest.raises(RuntimeError) as info:
+            verify_region(HpqParams(-0.5, -1.0), 200, 42)
+        raised.set()
+        assert info.value is error
+        new |= set(threading.enumerate()) - before
+    # A chunk left running, or a queued one left to start, would call w0 in this window.
+    time.sleep(0.05)
+    assert late == []
+    assert len(new) <= 8
+
+
+def test_scans_reuse_the_pool_threads(monkeypatch):
+    # 20 scans of eight chunks on two workers run on the same two helper
+    # threads, and no more than two threads start over all 20.  Thread
+    # objects, not idents: the ident of a thread that has exited can come back
+    # on a new one.
+    monkeypatch.setattr(verify, "_CHUNK", 7)
+    monkeypatch.setattr(verify, "_workers", lambda: 2)
+    helpers, real_w0 = set(), verify.w0
+    monkeypatch.setattr(verify, "w0", lambda z: helpers.add(threading.current_thread()) or real_w0(z))
+    before, new = set(threading.enumerate()), set()
+    for _ in range(20):
+        verify_region(HpqParams(-0.5, -1.0), 50, 42)
+        new |= set(threading.enumerate()) - before
+    assert threading.current_thread() not in helpers
+    assert len(helpers) <= 2
+    assert len(new) <= 2
+
+
+def test_scans_from_several_threads_share_the_pool(monkeypatch):
+    # Six callers at once queue chunks of different scans on one pool of four
+    # threads, switching as often as the interpreter lets them: each caller
+    # folds only its own pieces, so each gets what it gets alone.
+    monkeypatch.setattr(verify, "_CHUNK", 7)
+    monkeypatch.setattr(verify, "_workers", lambda: 4)
+    sizes = range(50, 56)
+    expected = [_scan(NEITHER_FIXTURES, n, 42, "extremes") for n in sizes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(sizes)) as callers:
+            scans = [callers.submit(_scan, NEITHER_FIXTURES, n, 42, "extremes") for n in sizes]
+            results = [scan.result(timeout=60) for scan in scans]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_scans_on_a_pool_of_its_own(monkeypatch):
+    # A child forked after a pooled scan has none of its parent's pool threads;
+    # a scan there that queued on the parent's pool would wait forever.
+    monkeypatch.setattr(verify, "_CHUNK", 7)
+    monkeypatch.setattr(verify, "_workers", lambda: 2)
+    parts = _scan(NEITHER_FIXTURES, 50, 42)
+    with warnings.catch_warnings():
+        # Python 3.12 warns of fork() in a process with threads.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if _scan(NEITHER_FIXTURES, 50, 42) == parts else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 20.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's scan did not return within 20 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(st.integers(1, 8), st.integers(1, 40), st.integers(1, 600), st.integers(0, 10**6))
+def test_scan_chunks_are_balanced_across_the_workers(workers, chunk, n, start):
+    # The chunks tile [start, start + n), none exceeds _CHUNK, and all but the
+    # last are equal: k = ceil(n / _CHUNK), rounded up to a multiple of the
+    # workers when k > 1, sets their size ceil(n / k).  Fewer than k chunks
+    # can be left (20 samples at _CHUNK = 7 on eight workers are six of 3 and
+    # one of 2), but never more rounds than the cap needs.
+    chunks, empty = [], [_Part(0, 0, (), (), ())]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_CHUNK", chunk)
+        patch.setattr(verify, "_workers", lambda: workers)
+        patch.setattr(verify, "_scan_part", lambda cells, seed, i, count, records: chunks.append((i, count)) or empty)
+        assert _scan(((0.0, 0.5),), n, 42, start=start) == empty
+    starts, counts = zip(*sorted(chunks))
+    assert starts == tuple(itertools.accumulate(counts[:-1], initial=start))
+    assert starts[-1] + counts[-1] == start + n
+    assert max(counts) <= chunk and set(counts[:-1]) <= {counts[0]} and counts[-1] <= counts[0]
+    k = -(-n // chunk)
+    rounds = -(-k // workers)
+    if k > 1:
+        k = rounds * workers
+    assert counts[0] == -(-n // k)
+    assert -(-len(counts) // workers) == rounds
 
 
 def test_one_chunk_scans_on_the_calling_thread(monkeypatch):
