@@ -6,6 +6,7 @@ passed after a ``--`` separator, e.g. ``wconvexity classify -- -1 -1``.
 """
 
 import argparse
+import functools
 import sys
 
 from .lambert import w0
@@ -67,7 +68,7 @@ def build_parser():
         nargs=4,
         type=float,
         metavar=("PMIN", "PMAX", "QMIN", "QMAX"),
-        default=[-3.0, 3.0, -3.0, 3.0],
+        default=(-3.0, 3.0, -3.0, 3.0),
     )
     p_raster.add_argument("--step", type=float, default=0.05)
     p_raster.add_argument("--out", required=True, metavar="PATH")
@@ -147,11 +148,19 @@ def _cmd_selftest(args):
     return 0 if failures == 0 else 1
 
 
+@functools.cache
+def _parser():
+    # parse_args leaves the parser as it was, so every call shares this one.
+    return build_parser()
+
+
 def run(argv):
-    """Parse argv (no program name) and execute; returns the exit code."""
-    parser = build_parser()
+    """Parse argv (no program name) and execute; returns the exit code.
+
+    In-process callers share one parser, built at the first call.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors.
         return 0 if exc.code in (0, None) else 2

@@ -40,16 +40,25 @@ def holder_mean(p, r, s):
         if abs(p) < _SMALL_P:
             # sqrt(r*s) where the product stays in the normal double range (it
             # is exact for exact products like 2*8), split sqrt otherwise.
+            # rr and ss are at least 1-d, so each fallback fills in only the
+            # elements that need it.
             prod = rr * ss
-            normal = (prod >= _TINY) & np.isfinite(prod)
-            out = np.where(normal, np.sqrt(prod), np.sqrt(rr) * np.sqrt(ss))
+            out = np.sqrt(prod)
+            split = ~((prod >= _TINY) & np.isfinite(prod))
+            if split.any():
+                out[split] = np.sqrt(rr[split]) * np.sqrt(ss[split])
             if p:
                 # d = ln(r/s) rounds r/s once where that stays normal.  The mean then carries
                 # eps * |d| / 2 and the direct form eps / |p|, which it takes past |p * d| = 2.
                 ratio = rr / ss
-                d = np.where((ratio >= _TINY) & np.isfinite(ratio), np.log(ratio), np.log(rr) - np.log(ss))
+                d = np.log(ratio)
+                split = ~((ratio >= _TINY) & np.isfinite(ratio))
+                if split.any():
+                    d[split] = np.log(rr[split]) - np.log(ss[split])
                 out = out * np.exp(np.log1p(2.0 * np.sinh(p * d / 4.0) ** 2) / p)
-                out = np.where(abs(p * d) < 2.0, out, ((rr**p + ss**p) / 2.0) ** (1.0 / p))
+                far = ~(abs(p * d) < 2.0)
+                if far.any():
+                    out[far] = ((rr[far] ** p + ss[far] ** p) / 2.0) ** (1.0 / p)
         else:
             out = ((rr**p + ss**p) / 2.0) ** (1.0 / p)
             # ln is monotone, so the larger of |p ln r|, |p ln s| is |p| * max(-ln lo, ln hi).

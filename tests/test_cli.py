@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from decimal import Decimal
 from pathlib import Path
@@ -16,8 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import wconvexity
 from conftest import PINNED
-from wconvexity import lambert, means, raster, theory, verify
-from wconvexity.cli import run
+from wconvexity import cli, lambert, means, raster, theory, verify
+from wconvexity.cli import build_parser, run
 from wconvexity.theory import classify
 
 
@@ -239,6 +240,86 @@ def test_the_module_entry_point_exits_with_the_code_of_run(tmp_path):
     )
     assert (done.returncode, done.stdout, done.stderr) == (2, "", _UNRESOLVED_ERROR)
     assert not out.exists() and not svg.exists()
+
+
+def test_run_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    assert invoke(capsys, ["classify", "0", "0.5"])[:2] == (0, "neither\n")
+    assert invoke(capsys, ["eval", "mean", "1", "2", "4"])[:2] == (0, "3.0\n")
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
+def test_a_raster_without_window_draws_the_default_after_one_with(capsys, tmp_path):
+    # The shared parser hands every call that omits --window the same default object.
+    files = {name: tmp_path / name for name in ("csv", "svg")}
+    argv = ["--step", "0.25", "--out", str(files["csv"]), "--svg", str(files["svg"])]
+    assert invoke(capsys, ["raster", "--window", "-1", "2", "0", "0.5", *argv])[0] == 0
+    assert invoke(capsys, ["raster", *argv])[0] == 0
+    pinned = PINNED["raster --window -3.0 3.0 -3.0 3.0 --step 0.25 --out {csv} --svg {svg}"]
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()} == pinned
+
+
+# Every subcommand, a usage error and --help; {dir} holds the files each writes.
+_MIXED_SEQUENCE = (
+    ["classify", "1"],
+    ["--help"],
+    ["eval", "w", "2.5"],
+    ["classify", "--", "-0.5", "-1"],
+    ["verify", "--samples", "3000", "--json", "{dir}/report.json", "--", "-0.5", "-1"],
+    ["counterexample", "--budget", "2000", "--", "2", "3"],
+    ["raster", "--step", "0.5", "--out", "{dir}/map.csv", "--svg", "{dir}/map.svg"],
+    ["selftest", "--samples", "100"],
+)
+
+
+def _written(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_a_mixed_sequence_in_one_process_equals_each_call_alone(capsys, monkeypatch, tmp_path):
+    # argparse reads the terminal width when it prints, so pin it on both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    together.mkdir()
+    alone.mkdir()
+    in_process = [invoke(capsys, [arg.format(dir=together) for arg in argv]) for argv in _MIXED_SEQUENCE]
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 0, 0, 0, 0, 0]
+    for argv, (code, out, err) in zip(_MIXED_SEQUENCE, in_process):
+        done = subprocess.run(
+            [sys.executable, "-m", "wconvexity.cli", *(arg.format(dir=alone) for arg in argv)],
+            env=_env_with_src(COLUMNS="80"), capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err.replace(str(together), str(alone))), argv
+    written = _written(together)
+    assert written == _written(alone)
+    assert set(written) == {"report.json", "map.csv", "map.svg"}
+
+
+def test_verify_runs_in_four_threads_at_once_write_the_sequential_reports(capsys, tmp_path):
+    cells = [("-0.5", "-1"), ("2", "1"), ("0", "0.5"), ("-1", "-1")]
+
+    def argv(k, name):
+        return ["verify", "--samples", "70000", "--seed", str(k), "--json", str(tmp_path / f"{name}{k}.json"), "--", *cells[k]]
+
+    sequential = [run(argv(k, "sequential")) for k in range(4)]
+    codes, start = [None] * 4, threading.Barrier(4)
+
+    def work(k):
+        start.wait()
+        codes[k] = run(argv(k, "threaded"))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    capsys.readouterr()
+    assert codes == sequential
+    for k in range(4):
+        assert (tmp_path / f"threaded{k}.json").read_bytes() == (tmp_path / f"sequential{k}.json").read_bytes()
 
 
 def test_raster_unwritable_path(capsys, tmp_path):

@@ -7,11 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import ORDERS
 from wconvexity import _checks
-from wconvexity.means import holder_mean, quartic_harmonic_form
+from wconvexity.means import _SMALL_P, holder_mean, quartic_harmonic_form
 from wconvexity.verify import SAMPLE_DOMAIN, sample_pairs
 
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
@@ -218,6 +218,55 @@ def test_guard_from_the_extremes_equals_the_elementwise_guard(p):
         want = _elementwise_guard_mean(p, r, s)
         assert np.float64(holder_mean(p, r, s)).view(np.uint64) == want.view(np.uint64), (r, s)
         assert np.float64(holder_mean(p, np.array(r), np.array(s))).view(np.uint64) == want.view(np.uint64)
+
+
+def _two_where_small_order_mean(p, r, s):
+    # holder_mean for |p| < _SMALL_P as it was when the split root, the split
+    # log and the direct form ran on every element and np.where picked.
+    rr, ss = map(np.ascontiguousarray, np.broadcast_arrays(np.asarray(r, np.float64), np.asarray(s, np.float64)))
+    lo, hi = np.minimum(rr, ss), np.maximum(rr, ss)
+    tiny = np.finfo(np.float64).tiny
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        prod = rr * ss
+        out = np.where((prod >= tiny) & np.isfinite(prod), np.sqrt(prod), np.sqrt(rr) * np.sqrt(ss))
+        if p:
+            ratio = rr / ss
+            d = np.where((ratio >= tiny) & np.isfinite(ratio), np.log(ratio), np.log(rr) - np.log(ss))
+            out = out * np.exp(np.log1p(2.0 * np.sinh(p * d / 4.0) ** 2) / p)
+            out = np.where(abs(p * d) < 2.0, out, ((rr**p + ss**p) / 2.0) ** (1.0 / p))
+    return np.minimum(np.maximum(out, lo), hi)
+
+
+# Pairs whose product or ratio is subnormal or overflows, and the widest pair,
+# whose |ln(r/s)| = 1452 puts |p * ln(r/s)| past 2 from |p| = 0.0014 up.
+_FALLBACK_PAIRS = (
+    (1e-200, 1e-200), (1e-160, 1e-150), (1e200, 1e200), (1e160, 1e150), (1e-200, 1e200), (1e200, 1e-200),
+    (5e-324, 1.7976931348623157e308), (1.7976931348623157e308, 5e-324), (5e-324, 5e-324), (1e-300, 3.0),
+)
+_WIDEST_LOG_RATIO = math.log(1.7976931348623157e308) - math.log(5e-324)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(
+    p=ORDERS.filter(lambda p: abs(p) < _SMALL_P),
+    pairs=st.lists(st.tuples(st.floats(-323.5, 308.25), st.floats(-323.5, 308.25)), max_size=40),
+)
+@example(p=math.nextafter(_SMALL_P, 0.0), pairs=[])
+@example(p=-0.02, pairs=[(-1.0, 300.0)] * 20)
+@example(p=0.0, pairs=[])
+def test_small_order_fallbacks_equal_the_two_where_form(p, pairs):
+    # Each fallback now runs on the elements that need it alone; every bit
+    # must stay as when it ran on all of them.  Scalars too.
+    drawn = np.clip(10.0 ** np.array(pairs, dtype=np.float64).reshape(-1, 2), 5e-324, 1.7976931348623157e308)
+    r, s = np.concatenate([drawn, _FALLBACK_PAIRS]).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = holder_mean(p, r, s)
+        assert np.array_equal(got.view(np.uint64), _two_where_small_order_mean(p, r, s).view(np.uint64))
+        for a, b in _FALLBACK_PAIRS[::3]:
+            want = _two_where_small_order_mean(p, a, b)[0]
+            assert np.float64(holder_mean(p, a, b)).view(np.uint64) == want.view(np.uint64), (a, b)
+    assert (abs(p) * _WIDEST_LOG_RATIO < 2.0) or not (abs(p * (np.log(r) - np.log(s))) < 2.0).all()
 
 
 def _peak_bytes(fun, *args):

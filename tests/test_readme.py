@@ -42,7 +42,7 @@ def test_defaults_sentence_matches_the_parser():
     assert (checked.samples, search.budget, grid.samples) == (samples, budget, samples)
     assert checked.seed == search.seed == grid.seed == seed
     raster = parse(["raster", "--out", "map.csv"])
-    assert (raster.window, raster.step) == ([lo, hi, lo, hi], step)
+    assert (raster.window, raster.step) == ((lo, hi, lo, hi), step)
 
 
 def test_quoted_constants_equal_the_code():
